@@ -8,10 +8,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 
+use pta_core::dp::bench_support::size_bounded_no_early_break;
 use pta_core::{
-    pta_size_bounded, pta_size_bounded_naive, pta_size_bounded_no_early_break,
-    pta_size_bounded_with_opts, pta_size_bounded_with_policy, DpOptions, DpStrategy, GapPolicy,
-    Weights,
+    pta_size_bounded, pta_size_bounded_naive, pta_size_bounded_with_opts, DpOptions, DpStrategy,
+    GapPolicy, Weights,
 };
 use pta_datasets::{timeseries, uniform};
 
@@ -32,7 +32,7 @@ fn bench_early_break(c: &mut Criterion) {
             b.iter(|| pta_size_bounded_with_opts(black_box(rel), &w, cc, scan.clone()).unwrap())
         });
         g.bench_with_input(BenchmarkId::new("no_break", name), name, |b, _| {
-            b.iter(|| pta_size_bounded_no_early_break(black_box(rel), &w, cc).unwrap())
+            b.iter(|| size_bounded_no_early_break(black_box(rel), &w, cc).unwrap())
         });
     }
     g.finish();
@@ -64,11 +64,11 @@ fn bench_gap_policy(c: &mut Criterion) {
     g.bench_function("strict", |b| b.iter(|| pta_size_bounded(black_box(&rel), &w, cc).unwrap()));
     g.bench_function("tolerate_2", |b| {
         b.iter(|| {
-            pta_size_bounded_with_policy(
+            pta_size_bounded_with_opts(
                 black_box(&rel),
                 &w,
                 cc,
-                GapPolicy::Tolerate { max_gap: 2 },
+                DpOptions::default().with_policy(GapPolicy::Tolerate { max_gap: 2 }),
             )
             .unwrap()
         })

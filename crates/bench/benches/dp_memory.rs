@@ -10,8 +10,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use pta_core::{
-    pta_error_bounded_with_mode, pta_error_bounded_with_opts, pta_size_bounded_with_mode, DpMode,
-    DpOptions, DpStrategy, Weights,
+    pta_error_bounded_with_opts, pta_size_bounded_with_opts, DpMode, DpOptions, DpStrategy, Weights,
 };
 use pta_datasets::uniform;
 
@@ -27,11 +26,27 @@ fn bench_size_bounded_modes(c: &mut Criterion) {
         let cc = (n / 10).max(20);
         for (name, mode) in MODES {
             g.bench_with_input(BenchmarkId::new(format!("flat_{name}"), n), &n, |b, _| {
-                b.iter(|| pta_size_bounded_with_mode(black_box(&flat), &w, cc, mode).unwrap())
+                b.iter(|| {
+                    pta_size_bounded_with_opts(
+                        black_box(&flat),
+                        &w,
+                        cc,
+                        DpOptions::default().with_mode(mode),
+                    )
+                    .unwrap()
+                })
             });
             let cg = cc.max(grouped.cmin()).min(grouped.len());
             g.bench_with_input(BenchmarkId::new(format!("grouped_{name}"), n), &n, |b, _| {
-                b.iter(|| pta_size_bounded_with_mode(black_box(&grouped), &w, cg, mode).unwrap())
+                b.iter(|| {
+                    pta_size_bounded_with_opts(
+                        black_box(&grouped),
+                        &w,
+                        cg,
+                        DpOptions::default().with_mode(mode),
+                    )
+                    .unwrap()
+                })
             });
         }
     }
@@ -50,7 +65,13 @@ fn bench_error_bounded_modes(c: &mut Criterion) {
                 &eps,
                 |b, &eps| {
                     b.iter(|| {
-                        pta_error_bounded_with_mode(black_box(&grouped), &w, eps, mode).unwrap()
+                        pta_error_bounded_with_opts(
+                            black_box(&grouped),
+                            &w,
+                            eps,
+                            DpOptions::default().with_mode(mode),
+                        )
+                        .unwrap()
                     })
                 },
             );

@@ -8,9 +8,8 @@
 use pta_temporal::SequentialRelation;
 
 use crate::cancel::CancelToken;
-use crate::dp::{DpEngine, DpExecMode, DpStats, DpStrategy};
+use crate::dp::{approx, DpEngine, DpOptions, DpStrategy, Exact, SweepBuf, Tally};
 use crate::error::CoreError;
-use crate::policy::GapPolicy;
 use crate::weights::Weights;
 
 /// Optimal reduction errors for sizes `1..=kmax` (clamped to `n`):
@@ -22,38 +21,15 @@ pub fn optimal_error_curve(
     weights: &Weights,
     kmax: usize,
 ) -> Result<Vec<f64>, CoreError> {
-    optimal_error_curve_with_strategy(input, weights, kmax, DpStrategy::Auto)
+    optimal_error_curve_with_cancel(input, weights, kmax, DpStrategy::Auto, 0, CancelToken::inert())
 }
 
-/// [`optimal_error_curve`] with an explicit row minimization strategy —
-/// the cross-strategy tests and the strategy benchmarks pin it. Runs at
-/// the default thread budget (`PTA_THREADS`).
-pub fn optimal_error_curve_with_strategy(
-    input: &SequentialRelation,
-    weights: &Weights,
-    kmax: usize,
-    strategy: DpStrategy,
-) -> Result<Vec<f64>, CoreError> {
-    optimal_error_curve_with_threads(input, weights, kmax, strategy, 0)
-}
-
-/// [`optimal_error_curve_with_strategy`] with an explicit thread budget
-/// (`0` = the process default) — the parallel equivalence suite pins
-/// curves at `threads = 1` against curves at higher budgets.
-pub fn optimal_error_curve_with_threads(
-    input: &SequentialRelation,
-    weights: &Weights,
-    kmax: usize,
-    strategy: DpStrategy,
-    threads: usize,
-) -> Result<Vec<f64>, CoreError> {
-    optimal_error_curve_with_cancel(input, weights, kmax, strategy, threads, CancelToken::inert())
-}
-
-/// [`optimal_error_curve_with_threads`] under a [`CancelToken`]: a fired
+/// [`optimal_error_curve`] with an explicit row minimization strategy,
+/// thread budget (`0` = the process default) and [`CancelToken`]: a fired
 /// token aborts the curve with [`CoreError::Cancelled`] /
-/// [`CoreError::DeadlineExceeded`] carrying the rows completed so far —
-/// the deadline path of the facade's curve queries.
+/// [`CoreError::DeadlineExceeded`] carrying the rows completed so far.
+/// Every strategy and budget yields the bit-identical exact curve;
+/// [`DpStrategy::Approx`] certifies every entry within `1 + ε`.
 pub fn optimal_error_curve_with_cancel(
     input: &SequentialRelation,
     weights: &Weights,
@@ -67,42 +43,17 @@ pub fn optimal_error_curve_with_cancel(
     if n == 0 || kmax == 0 {
         return Ok(Vec::new());
     }
-    let engine =
-        DpEngine::new_full(input, weights, true, GapPolicy::Strict, true, strategy, threads)?
-            .with_cancel(cancel);
-    // A positive ε dispatches to the sparsified bracket DP (every curve
-    // entry certified within 1 + ε); ε ≤ 0 falls through to the exact
-    // row loop, which an Approx-labeled engine traverses bit-identically
-    // to Scan.
-    if let DpStrategy::Approx(eps) = engine.strategy {
-        if eps > 0.0 {
-            return crate::dp::approx::curve_approx(&engine, kmax, eps);
-        }
+    let opts = DpOptions { strategy, threads, cancel, ..DpOptions::default() };
+    let engine = DpEngine::new(input, weights, &opts, true, true)?;
+    if let Some(eps) = engine.approx_eps() {
+        return approx::curve(&engine, kmax, eps);
     }
-    let width = n + 1;
-    // Both row buffers start at ∞; each row fill resets only its window.
-    let mut prev = vec![f64::INFINITY; width];
-    let mut cur = vec![f64::INFINITY; width];
     let mut curve = Vec::with_capacity(kmax);
-    let mut cells = crate::dp::Cells::default();
-    for k in 1..=kmax {
-        cells += engine.fill_row_fwd(k, 0, n, &prev, &mut cur, None).map_err(|e| {
-            // Curve entries 1..k − 1 were completed before the abort.
-            e.with_dp_progress(DpStats {
-                rows: k - 1,
-                cells: cells.total(),
-                scan_cells: cells.scan,
-                monge_cells: cells.monge,
-                peak_rows: 2,
-                mode: DpExecMode::Table,
-                strategy: engine.strategy,
-                threads: engine.pool.threads(),
-                certified_ratio: 1.0,
-            })
-        })?;
-        std::mem::swap(&mut prev, &mut cur);
-        curve.push(prev[n]);
-    }
+    let mut buf = SweepBuf::new(n + 1);
+    engine.sweep(&Exact, kmax, 0, &mut buf, &mut Tally::default(), |[v]| {
+        curve.push(v);
+        false
+    })?;
     Ok(curve)
 }
 
@@ -168,8 +119,24 @@ mod tests {
         }
         let input = b.build();
         let w = Weights::uniform(1);
-        let scan = optimal_error_curve_with_strategy(&input, &w, 40, DpStrategy::Scan).unwrap();
-        let monge = optimal_error_curve_with_strategy(&input, &w, 40, DpStrategy::Monge).unwrap();
+        let scan = optimal_error_curve_with_cancel(
+            &input,
+            &w,
+            40,
+            DpStrategy::Scan,
+            0,
+            CancelToken::inert(),
+        )
+        .unwrap();
+        let monge = optimal_error_curve_with_cancel(
+            &input,
+            &w,
+            40,
+            DpStrategy::Monge,
+            0,
+            CancelToken::inert(),
+        )
+        .unwrap();
         let auto = optimal_error_curve(&input, &w, 40).unwrap();
         for k in 0..40 {
             assert_eq!(scan[k].to_bits(), monge[k].to_bits(), "size {}", k + 1);

@@ -12,76 +12,87 @@
 //! `imax`/`jmin` bounds derived from the gap vector, and Jagadish et al.'s
 //! early break when the range SSE alone exceeds the best cell value.
 //!
+//! # One row skeleton
+//!
+//! Every DP row of every entry point goes through one fill
+//! ([`DpEngine::fill_into`]): failpoint, cancel poll, the walk over
+//! *inter-break windows* (maximal runs of cells sharing the same rightmost
+//! break below them, so every gap lookup is hoisted out of the cell loop),
+//! the fan-out gate, chunking and tiling onto the [`Pool`], and the
+//! sequential window loop with per-window polls. The skeleton is generic
+//! over two things, both monomorphized so the cell loops carry no
+//! per-cell dispatch:
+//!
+//! * **Orientation** (`const MIRROR: bool`). A forward row reads prefixes
+//!   `lo..i`; a *mirrored* row is the same recurrence over the view
+//!   `i ↦ n − i` of the same [`PrefixStats`], [`GapVector`] and monotone-run
+//!   certificate, i.e. a *suffix* row: view cell `n − i` holds the optimal
+//!   SSE of tuples `i..hi`. No reversed series is built — reversed prefix
+//!   sums would round differently and move divide-and-conquer ties. The
+//!   mirrored scan visits split points in exactly the order of a suffix
+//!   scan and adds the same two floats, so its values are bit-identical to
+//!   a hand-written suffix fill.
+//! * **Window solver** ([`WindowSolver`]). [`Exact`] minimizes each open
+//!   window into one value row, by the Fig. 7 scan or by a Monge engine
+//!   (below); the stride grid of [`approx`] fills the `ub`/`lb` bracket
+//!   pair over a sparse cell and candidate grid.
+//!
+//! On top of the skeleton sit one forward sweep ([`DpEngine::sweep`]:
+//! table, error-row and curve passes) and one Hirschberg recursion
+//! ([`DpEngine::dnc_pass`]), shared by the exact and approximate tiers.
+//!
 //! # Row minimization strategies
 //!
-//! Each row fill decomposes its cells into *inter-break windows* (maximal
-//! runs of cells sharing the same rightmost break below them), hoisting
-//! every gap lookup out of the cell loop. Within a window the candidate
-//! split range is break-free; when the window's tuple values are
-//! additionally **monotone in every dimension** — an exact, precomputed
-//! certificate — its cost matrix `prev[j] + SSE(j..i)` is provably Monge
-//! (the 1-D k-means structure; see [`monge`] for why monotonicity is
-//! required and what breaks without it) and two interchangeable linear
-//! minimizers apply, selected by [`DpStrategy`]:
+//! Within a window the candidate split range is break-free; when the
+//! window's tuple values are additionally **monotone in every dimension** —
+//! an exact, precomputed certificate — its cost matrix `prev[j] + SSE(j..i)`
+//! is provably Monge (the 1-D k-means structure; see [`monge`] for why
+//! monotonicity is required) and two interchangeable linear minimizers
+//! apply, selected by [`DpStrategy`]:
 //!
 //! * **Scan** ([`DpStrategy::Scan`]): the Fig. 7 decreasing-`j` scan with
 //!   the early break — `O(window²)` per row window in the worst case.
-//!   This is what the paper runs; on gap-rich data windows are tiny and
-//!   the scan is near-linear.
 //! * **Monge** ([`DpStrategy::Monge`]): SMAWK/divide-and-conquer row
 //!   minimization on every certified window — `O(window)` per monotone
-//!   row window, making the whole DP `O(c · n)` on gap-free monotone-run
-//!   data (trends, ramps, plateaus) where §5.3 pruning has nothing to
-//!   cut and the scan is `O(c · n²)`. Uncertified windows scan.
+//!   row window, `O(c · n)` on gap-free monotone-run data. Uncertified
+//!   windows scan.
 //! * **Auto** ([`DpStrategy::Auto`], the default everywhere): SMAWK on
 //!   certified windows at least [`MONGE_AUTO_MIN_WINDOW`] cells wide in
 //!   both dimensions, the scan below. Every strategy returns identical
-//!   row values and split points (tie-breaking follows the scan; see the
-//!   [`monge`] module docs), pinned by the cross-strategy equivalence
-//!   suite.
+//!   row values and split points (see the [`monge`] module docs).
 //!
 //! # Backtracking modes and their memory model
 //!
 //! Error values only ever need two `(n + 1)`-entry rows, so the memory
-//! question is entirely about recovering the optimal *split points*. Two
-//! interchangeable modes exist, selected by [`DpMode`]:
+//! question is about recovering the optimal *split points*. Two modes
+//! exist, selected by [`DpMode`]:
 //!
 //! * **Materialized table** ([`DpMode::Table`]): record the best split
-//!   point of every cell in a `c × (n + 1)` `usize` matrix and walk it
-//!   backwards once — `O(n · c)` memory, a single DP pass. Fastest while
-//!   the table fits in memory.
+//!   point of every cell in a `c × (n + 1)` matrix and walk it backwards
+//!   once — `O(n · c)` memory, a single DP pass.
 //! * **Divide and conquer** ([`DpMode::DivideConquer`]): record nothing.
-//!   To split `n` tuples into `c` pieces, run a forward DP to row
-//!   `⌊c/2⌋` and a mirrored *suffix* DP to row `⌈c/2⌉` (two rows each),
-//!   pick the midpoint `m` minimizing their sum, and recurse on the two
-//!   halves (Hirschberg's scheme). Memory is four scratch rows —
-//!   `O(n)` regardless of `c` — and because each recursion level halves
-//!   both the piece count and the covered area, the total work is at most
-//!   ~2× the single-pass table fill. This is what lifts exact PTA to
-//!   inputs with `n` in the millions.
+//!   To split `n` tuples into `c` pieces, run forward rows to `⌊c/2⌋` and
+//!   mirrored rows to `⌈c/2⌉`, pick the midpoint minimizing their sum, and
+//!   recurse on the two halves (Hirschberg's scheme). Four scratch rows —
+//!   `O(n)` memory regardless of `c` — at most ~2× the table's work.
 //!
-//! [`DpMode::Auto`] (the default everywhere) materializes the table only
-//! when `c · (n + 1)` fits [`DEFAULT_TABLE_BUDGET`] and silently switches
-//! to divide and conquer beyond it; nothing fails on large inputs anymore
-//! (the pre-existing hard `TableTooLarge` cap is gone). Both modes return
-//! identical reductions and are pinned against each other by the
-//! cross-mode equivalence tests. The strategy knob is orthogonal: any
-//! [`DpStrategy`] combines with any [`DpMode`] — in particular
-//! `Monge × DivideConquer` runs exact PTA over gap-free monotone runs in
-//! `O(c · n)` time *and* `O(n)` memory.
+//! [`DpMode::Auto`] (the default) materializes the table only when
+//! `c · (n + 1)` fits [`DEFAULT_TABLE_BUDGET`]. Both modes return optimal
+//! reductions; on exact ties they may pick different cuts. Any
+//! [`DpStrategy`] combines with any [`DpMode`].
 //!
 //! [`size_bounded`] implements `PTAc` (Fig. 7), [`error_bounded`]
 //! implements `PTAε` (Fig. 8), and [`curve`] produces whole error-vs-size
-//! curves for the evaluation. The *naive DP* baseline of the paper's
-//! Fig. 18 (recurrence + constant-time SSE, no gap pruning) is available by
-//! disabling pruning; it always runs the scan — it exists to measure the
-//! unaccelerated recurrence.
+//! curves. The *naive DP* baseline of Fig. 18 (recurrence + constant-time
+//! SSE, no gap pruning) always scans.
 
 pub mod approx;
 pub mod curve;
 pub mod error_bounded;
 pub mod monge;
 pub mod size_bounded;
+
+use std::ops::Range;
 
 use pta_failpoints::fail_point;
 use pta_pool::Pool;
@@ -102,13 +113,11 @@ use monge::RowMinEngine;
 /// Default split-point table budget of [`DpMode::Auto`], in table entries
 /// (one `usize` each): 2²⁵ entries, i.e. 256 MiB on 64-bit targets.
 /// Inputs whose `c · (n + 1)` exceeds the budget transparently use
-/// divide-and-conquer backtracking — no input is rejected. (The pre-PR
-/// hard cap `MAX_TABLE_ENTRIES` was 2²⁸ entries, beyond which exact PTA
-/// failed with `TableTooLarge`.)
+/// divide-and-conquer backtracking — no input is rejected.
 pub const DEFAULT_TABLE_BUDGET: usize = 1 << 25;
 
 /// How the exact DP recovers the optimal split points. Both modes produce
-/// the same optimal reduction; they trade memory against a small constant
+/// an optimal reduction; they trade memory against a small constant
 /// factor of extra work (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DpMode {
@@ -177,7 +186,7 @@ pub struct DpOptions {
     /// process-wide default ([`pta_pool::default_threads`], i.e. the
     /// `PTA_THREADS` knob). Every budget produces bit-identical results —
     /// parallelism splits rows into the same per-cell computations the
-    /// sequential scan performs (see [`DpEngine::fill_row_fwd`]).
+    /// sequential loop performs (see [`DpEngine::fill_into`]).
     pub threads: usize,
     /// Cooperative cancellation handle, polled at row/window granularity.
     /// The default token is inert (the run can never be interrupted);
@@ -185,14 +194,6 @@ pub struct DpOptions {
     /// to make the run abort with [`CoreError::Cancelled`] /
     /// [`CoreError::DeadlineExceeded`] carrying partial-progress stats.
     pub cancel: CancelToken,
-    /// Opt-in approximation budget for [`DpStrategy::Auto`]: when set to
-    /// `Some(eps)` with `eps > 0` and the monotone-run certificate fails
-    /// (no Monge window would be wide enough to help), `Auto` resolves to
-    /// [`DpStrategy::Approx`]`(eps)` instead of the quadratic scan.
-    /// `None` (the default) keeps `Auto` exact — its pre-existing
-    /// semantics are unchanged unless the caller opts in. Ignored by the
-    /// explicit strategies.
-    pub auto_eps: Option<f64>,
 }
 
 impl DpOptions {
@@ -228,14 +229,6 @@ impl DpOptions {
     #[must_use]
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
-        self
-    }
-
-    /// Opts [`DpStrategy::Auto`] into the `(1 + eps)`-approximate tier on
-    /// non-Monge data (see [`DpOptions::auto_eps`]).
-    #[must_use]
-    pub fn with_auto_eps(mut self, eps: f64) -> Self {
-        self.auto_eps = Some(eps);
         self
     }
 }
@@ -279,7 +272,7 @@ pub struct DpStats {
     /// SSE is at most `certified_ratio` times the exact optimum. Exact
     /// runs report `1.0`; [`DpStrategy::Approx`] runs report the
     /// upper/lower-bracket quotient actually proved (`≤ 1 + ε` on every
-    /// completed run); aborted runs report `f64::INFINITY` — nothing was
+    /// completed run) and `f64::INFINITY` when aborted — nothing was
     /// certified.
     pub certified_ratio: f64,
 }
@@ -332,6 +325,14 @@ impl std::ops::AddAssign for Cells {
     }
 }
 
+/// Rows filled and split points evaluated by a run so far — across
+/// probes, recursion nodes and phases; stamped on aborts.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tally {
+    pub(crate) rows: usize,
+    pub(crate) cells: Cells,
+}
+
 /// Minimum *estimated* split-point evaluations in one row fill before the
 /// fill fans out across the pool. Below it the scoped-spawn cost (tens of
 /// microseconds) is comparable to the row itself; rows this small run the
@@ -358,62 +359,234 @@ const CANCEL_CHECK_MIN_WORK: u64 = 1 << 12;
 
 /// How one inter-break row window is minimized — recorded by the window
 /// walk so windows can be solved out of line, in any order, including on
-/// pool workers. The solve step is identical per cell whether windows run
-/// sequentially or chunked in parallel, which is the bit-identity
-/// guarantee of the `threads` knob.
+/// pool workers. All positions are in the fill's (possibly mirrored) view.
 #[derive(Debug, Clone, Copy)]
-enum WindowTask {
+pub(crate) enum WindowTask {
     /// Forced split pinned to break `g` (Fig. 7 lines 13–16); `feasible`
-    /// records whether the forced prefix/suffix can hold `k − 1` tuples
-    /// (when not, the cells stay `∞`).
+    /// records whether the forced prefix can hold `k − 1` tuples (when
+    /// not, the cells stay `∞`).
     Forced { g: usize, feasible: bool },
-    /// Break-free candidate range delimited by `jbound` (`jmin` forward,
-    /// `jmax` backward); `engine` is the Monge dispatch, `None` scans.
-    Open { jbound: usize, engine: Option<RowMinEngine> },
+    /// Break-free candidate range `[jmin, i)`; `engine` is the Monge
+    /// dispatch, `None` scans.
+    Open { jmin: usize, engine: Option<RowMinEngine> },
 }
 
-/// One inter-break window (or, on the parallel path, one chunk of a scan
+/// One inter-break window (or, on the parallel path, one chunk of a
 /// window) of cells `[ws, we]` awaiting minimization.
 #[derive(Debug, Clone, Copy)]
-struct RowWindow {
-    ws: usize,
-    we: usize,
-    task: WindowTask,
+pub(crate) struct RowWindow {
+    pub(crate) ws: usize,
+    pub(crate) we: usize,
+    pub(crate) task: WindowTask,
 }
-
-/// One parallel row-fill job: a window chunk plus its disjoint output
-/// slice(s) of the row being filled.
-type RowJob<'a> = (RowWindow, &'a mut [f64], Option<&'a mut [usize]>);
 
 impl RowWindow {
     /// Number of cells in the window.
-    fn cells(&self) -> usize {
+    pub(crate) fn cells(&self) -> usize {
         self.we - self.ws + 1
     }
+}
 
-    /// Upper bound on the window's split-point evaluations, assuming the
-    /// candidate count per cell grows away from `jbound` (forward rows:
-    /// cell `i` scans at most `i − jmin`; backward rows are mirrored by
-    /// the caller flipping `lohi`). Monge windows are estimated at their
-    /// SMAWK bound. The early break can only shrink the real work, so
-    /// this is a fan-out *gate*, not an exact cost.
-    fn work(&self, fwd: bool) -> u64 {
-        match self.task {
-            WindowTask::Forced { .. } => self.cells() as u64,
-            WindowTask::Open { jbound, engine } => {
-                let (a, b) = if fwd {
-                    ((self.ws - jbound) as u64, (self.we - jbound) as u64)
-                } else {
-                    ((jbound - self.we) as u64, (jbound - self.ws) as u64)
-                };
-                match engine {
-                    // SMAWK/D&C evaluate O(rows + cols) oracle entries.
-                    Some(_) => 4 * (self.cells() as u64 + b),
-                    None => (a + b) * (b - a + 1) / 2,
-                }
-            }
+/// One unit of row work: a window (or a parallel chunk of one), the edges
+/// of the window it came from, and the output it writes — cell `i` lands
+/// at index `i − at` of every value row (`at = 0` for whole rows, the
+/// chunk start for a pool job's disjoint slices).
+pub(crate) struct Job<'a, const R: usize> {
+    w: RowWindow,
+    edges: (usize, usize),
+    out: [&'a mut [f64]; R],
+    jout: Option<&'a mut [usize]>,
+    at: usize,
+}
+
+impl<const R: usize> Job<'_, R> {
+    /// Writes cell `i`'s values and split point.
+    #[inline]
+    // pta-lint: allow(cancel-coverage) — one store per value row (R ≤ 2)
+    // of one cell; the row fill polls.
+    pub(crate) fn put(&mut self, i: usize, values: [f64; R], j: usize) {
+        for (row, v) in self.out.iter_mut().zip(values) {
+            row[i - self.at] = v;
+        }
+        if let Some(jr) = self.jout.as_deref_mut() {
+            jr[i - self.at] = j;
         }
     }
+}
+
+/// How the open windows of a row are minimized — the skeleton's second
+/// generic axis. `R` is the number of value rows per DP row: 1 for
+/// [`Exact`], 2 for the approximate tier's `ub`/`lb` bracket. Forced
+/// windows, `k = 1` rows and the Hirschberg midpoint are solver-free.
+pub(crate) trait WindowSolver<const R: usize>: Sync + Sized {
+    /// `certified_ratio` stamped on an aborted run's progress.
+    const ABORT_RATIO: f64 = 1.0;
+
+    /// Estimated evaluations of an open window — the fan-out and
+    /// cancel-poll gate, never an exact cost.
+    fn open_work(&self, w: &RowWindow, jmin: usize, engine: Option<RowMinEngine>) -> u64;
+
+    /// Estimated evaluations of view cell `i` at `dist` candidates from
+    /// its `jmin` — the chunker's balance weight.
+    fn cell_work<const M: bool>(&self, eng: &DpEngine, i: usize, dist: usize) -> u64;
+
+    /// Minimizes the open window of `job` into its value rows. The job
+    /// arrives by value so its slices stay in registers in the cell loop.
+    fn solve_open<const M: bool>(
+        &self,
+        eng: &DpEngine,
+        job: Job<'_, R>,
+        prev: &[&[f64]; R],
+        jmin: usize,
+        engine: Option<RowMinEngine>,
+    ) -> Cells;
+
+    /// A finer solver to redo a divide-and-conquer node whose midpoint
+    /// came out infinite (`None`: the solver is already exact).
+    fn refined(&self) -> Option<Self> {
+        None
+    }
+
+    /// Estimated evaluations of any window.
+    fn work(&self, w: &RowWindow) -> u64 {
+        match w.task {
+            WindowTask::Forced { .. } => w.cells() as u64,
+            WindowTask::Open { jmin, engine } => self.open_work(w, jmin, engine),
+        }
+    }
+}
+
+/// The exact window solver: the Fig. 7 scan, or a Monge engine on a
+/// certified window, into one value row.
+pub(crate) struct Exact;
+
+impl WindowSolver<1> for Exact {
+    /// Assumes the candidate count per cell grows away from `jmin`; Monge
+    /// windows are estimated at their SMAWK bound.
+    fn open_work(&self, w: &RowWindow, jmin: usize, engine: Option<RowMinEngine>) -> u64 {
+        let (a, b) = ((w.ws - jmin) as u64, (w.we - jmin) as u64);
+        match engine {
+            // SMAWK/D&C evaluate O(rows + cols) oracle entries.
+            Some(_) => 4 * (w.cells() as u64 + b),
+            None => (a + b) * (b - a + 1) / 2,
+        }
+    }
+
+    fn cell_work<const M: bool>(&self, _: &DpEngine, _: usize, dist: usize) -> u64 {
+        dist as u64
+    }
+
+    fn solve_open<const M: bool>(
+        &self,
+        eng: &DpEngine,
+        job: Job<'_, 1>,
+        prev: &[&[f64]; 1],
+        jmin: usize,
+        engine: Option<RowMinEngine>,
+    ) -> Cells {
+        let prev = prev[0];
+        let Job { w, edges, out: [out], mut jout, at } = job;
+        let mut cells = Cells::default();
+        if let Some(engine) = engine {
+            let mut job = Job { w, edges, out: [&mut *out], jout: jout.as_deref_mut(), at };
+            let (evals, solved) = eng.monge_window::<M>(engine, &mut job, prev, jmin);
+            cells.monge += evals;
+            if solved {
+                return cells;
+            }
+        }
+        for i in w.ws..=w.we {
+            let mut best = f64::INFINITY;
+            let mut best_j = jmin;
+            // Decreasing j: the range SSE err2 grows monotonically, so
+            // once it alone exceeds the best total the loop can stop
+            // (Fig. 7 line 24). j ≥ jmin guarantees no break is crossed.
+            for j in (jmin..i).rev() {
+                cells.scan += 1;
+                let err2 = eng.seg::<M>(j, i);
+                let total = prev[j] + err2;
+                if total < best {
+                    best = total;
+                    best_j = j;
+                }
+                if eng.early_break && err2 > best {
+                    break;
+                }
+            }
+            out[i - at] = best;
+            if let Some(jr) = jout.as_deref_mut() {
+                jr[i - at] = best_j;
+            }
+        }
+        cells
+    }
+}
+
+/// The two alternating DP rows of one fill direction, `R` value rows
+/// each, `(n + 1)`-wide and absolute-indexed. After a fill, `prev` holds
+/// the newest row.
+pub(crate) struct RowPair<const R: usize> {
+    prev: [Vec<f64>; R],
+    cur: [Vec<f64>; R],
+}
+
+impl<const R: usize> RowPair<R> {
+    pub(crate) fn new(width: usize) -> Self {
+        Self {
+            prev: std::array::from_fn(|_| vec![f64::INFINITY; width]),
+            cur: std::array::from_fn(|_| vec![f64::INFINITY; width]),
+        }
+    }
+
+    /// Resets `[lo, hi]` of every row to `∞` — a previous run or
+    /// recursion node left stale values there.
+    // pta-lint: allow(cancel-coverage) — O(rows) memset with no SSE work;
+    // the row fills that follow (DpEngine::fill_into) poll the token.
+    fn reset(&mut self, lo: usize, hi: usize) {
+        for row in self.prev.iter_mut().chain(&mut self.cur) {
+            row[lo..=hi].fill(f64::INFINITY);
+        }
+    }
+
+    /// The newest row's values at `i`.
+    pub(crate) fn at(&self, i: usize) -> [f64; R] {
+        std::array::from_fn(|r| self.prev[r][i])
+    }
+}
+
+/// A forward sweep's buffers: its row pair and the split-point table
+/// (`jm`, row-major, one `(n + 1)`-wide row per recorded DP row). The
+/// approximate tier keeps one across its probes.
+pub(crate) struct SweepBuf<const R: usize> {
+    rows: RowPair<R>,
+    jm: Vec<usize>,
+}
+
+impl<const R: usize> SweepBuf<R> {
+    pub(crate) fn new(width: usize) -> Self {
+        Self { rows: RowPair::new(width), jm: Vec::new() }
+    }
+}
+
+/// One completed pass: partition boundaries (prefix lengths,
+/// `0` and `n` included), the DP values the pass certifies against (the
+/// last row's values at `n`, or the divide-and-conquer root's midpoint
+/// minima), and the memory and mode it ran in.
+pub(crate) struct Pass<const R: usize> {
+    pub(crate) boundaries: Vec<usize>,
+    pub(crate) values: [f64; R],
+    pub(crate) peak: usize,
+    pub(crate) mode: DpExecMode,
+}
+
+/// The Hirschberg recursion's state: the cuts found so far, its forward
+/// and mirrored row pairs (`4R` rows, the mode's entire extra memory),
+/// and the run's tally.
+struct DncState<const R: usize> {
+    cuts: Vec<usize>,
+    fwd: RowPair<R>,
+    bwd: RowPair<R>,
+    tally: Tally,
 }
 
 /// The largest possible reduction error `SSE_max = SSE(s, ρ(s, cmin))`:
@@ -434,11 +607,6 @@ pub fn max_error_with_policy(
     let stats = PrefixStats::build(input);
     let gaps = GapVector::build_with_policy(input, policy);
     Ok(max_error_over_runs(weights, &stats, &gaps, input.len()))
-}
-
-/// [`max_error`] reusing prebuilt prefix stats.
-pub fn max_error_with(input: &SequentialRelation, weights: &Weights, stats: &PrefixStats) -> f64 {
-    input.segments().into_iter().map(|seg| stats.range_sse(weights, seg)).sum()
 }
 
 /// Sum of per-run SSEs where runs are delimited by the gap vector.
@@ -470,7 +638,7 @@ pub(crate) struct DpEngine {
     /// Fig. 18 "DP" baseline).
     pub(crate) prune: bool,
     /// Jagadish et al.'s decreasing-`j` early break (toggleable for the
-    /// ablation benchmark; scan path only).
+    /// ablation benchmark).
     pub(crate) early_break: bool,
     /// Row minimization strategy (pruned rows only — the naive baseline
     /// always scans).
@@ -517,96 +685,144 @@ fn monotone_run_ends(input: &SequentialRelation) -> Vec<usize> {
     mono
 }
 
-/// Result of one divide-and-conquer backtracking run.
-pub(crate) struct DncOutcome {
-    /// Partition boundaries including `lo` and `hi` (prefix lengths).
-    pub(crate) boundaries: Vec<usize>,
-    /// Split-point evaluations performed, per strategy.
-    pub(crate) cells: Cells,
-    /// Rows filled across the recursion.
-    pub(crate) rows: usize,
-    /// The optimal SSE `E[c][n]` observed at the top split (0 for `c = 1`
-    /// base calls, where it is the single range SSE).
-    pub(crate) optimal_sse: f64,
-}
-
-/// Scratch rows reused across the whole divide-and-conquer recursion —
-/// four `(n + 1)`-entry rows, the entire extra memory of the mode.
-struct DncScratch {
-    fwd_prev: Vec<f64>,
-    fwd_cur: Vec<f64>,
-    bwd_prev: Vec<f64>,
-    bwd_cur: Vec<f64>,
-}
-
 impl DpEngine {
-    pub(crate) fn new_full(
+    /// Builds the engine for `opts`' policy, strategy, threads and cancel
+    /// token; `prune = false` is the Fig. 18 baseline, `early_break =
+    /// false` the ablation.
+    pub(crate) fn new(
         input: &SequentialRelation,
         weights: &Weights,
+        opts: &DpOptions,
         prune: bool,
-        policy: GapPolicy,
         early_break: bool,
-        strategy: DpStrategy,
-        threads: usize,
     ) -> Result<Self, CoreError> {
         weights.check_dims(input.dims())?;
         // The unpruned Fig. 18 baseline measures the plain recurrence;
         // Monge minimization would change what it benchmarks.
-        let strategy = if prune { strategy } else { DpStrategy::Scan };
-        // Only the Monge strategies consume the certificate; an Approx
-        // engine behaves exactly like Scan through this machinery (the
-        // approx drivers own the sparsification on top of it).
+        let strategy = if prune { opts.strategy } else { DpStrategy::Scan };
+        // Only the Monge strategies consume the certificate.
         let mono_end = matches!(strategy, DpStrategy::Monge | DpStrategy::Auto)
             .then(|| monotone_run_ends(input));
         Ok(Self {
             stats: PrefixStats::build(input),
-            gaps: GapVector::build_with_policy(input, policy),
+            gaps: GapVector::build_with_policy(input, opts.policy),
             weights: weights.clone(),
             n: input.len(),
             prune,
             early_break,
             strategy,
             mono_end,
-            pool: Pool::new(threads),
-            cancel: CancelToken::default(),
+            pool: Pool::new(opts.threads),
+            cancel: opts.cancel.clone(),
         })
     }
 
-    /// Arms the engine with a cancellation handle (builder style — the
-    /// entry points thread [`DpOptions::cancel`] through here).
-    pub(crate) fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
+    /// The approximation budget when the run takes the stride-grid tier
+    /// (`ε > 0`); `Approx(0)` runs the exact path.
+    pub(crate) fn approx_eps(&self) -> Option<f64> {
+        self.strategy.eps().filter(|&eps| eps > 0.0)
     }
 
-    /// Cost of merging tuples `j..i` (prefix lengths) into one tuple: the
-    /// range SSE, or `∞` when the range crosses a break.
-    #[inline]
-    pub(crate) fn cost(&self, j: usize, i: usize) -> f64 {
-        if self.gaps.range_crosses_break(j, i) {
-            f64::INFINITY
-        } else {
-            self.stats.range_sse(&self.weights, j..i)
+    /// Assembles the `DpStats` of every pass and abort.
+    pub(crate) fn stats(
+        &self,
+        t: Tally,
+        peak_rows: usize,
+        mode: DpExecMode,
+        ratio: f64,
+    ) -> DpStats {
+        DpStats {
+            rows: t.rows,
+            cells: t.cells.total(),
+            scan_cells: t.cells.scan,
+            monge_cells: t.cells.monge,
+            peak_rows,
+            mode,
+            strategy: self.strategy,
+            threads: self.pool.threads(),
+            certified_ratio: ratio,
         }
     }
 
-    /// Whether the tuple range `[lo, hi)` carries the Monge certificate:
+    /// Stamps a run's progress on a cancellation error.
+    fn stamp<const R: usize, S: WindowSolver<R>>(
+        &self,
+        e: CoreError,
+        t: &Tally,
+        peak_rows: usize,
+        mode: DpExecMode,
+    ) -> CoreError {
+        e.with_dp_progress(self.stats(*t, peak_rows, mode, S::ABORT_RATIO))
+    }
+
+    /// The original position of view position `i`.
+    #[inline]
+    pub(crate) fn pos<const M: bool>(&self, i: usize) -> usize {
+        if M {
+            self.n - i
+        } else {
+            i
+        }
+    }
+
+    /// SSE of merging view range `j..i` (`j < i`) into one tuple, with no
+    /// break check — the original range `n − i..n − j` when mirrored.
+    #[inline]
+    pub(crate) fn seg<const M: bool>(&self, j: usize, i: usize) -> f64 {
+        let r = if M { self.n - i..self.n - j } else { j..i };
+        self.stats.range_sse(&self.weights, r)
+    }
+
+    /// [`DpEngine::seg`], or `∞` when the range crosses a break.
+    #[inline]
+    pub(crate) fn cost<const M: bool>(&self, j: usize, i: usize) -> f64 {
+        let (a, b) = if M { (self.n - i, self.n - j) } else { (j, i) };
+        if self.gaps.range_crosses_break(a, b) {
+            f64::INFINITY
+        } else {
+            self.stats.range_sse(&self.weights, a..b)
+        }
+    }
+
+    /// Number of breaks at view positions `< x`, or `≤ x` when
+    /// `inclusive`.
+    #[inline]
+    fn breaks_before<const M: bool>(&self, x: usize, inclusive: bool) -> usize {
+        let b = self.gaps.breaks();
+        if M {
+            // View break n − g ≤ x ⟺ g ≥ n − x; n − g < x ⟺ g > n − x.
+            let y = self.n - x;
+            b.len() - b.partition_point(|&g| if inclusive { g < y } else { g <= y })
+        } else {
+            b.partition_point(|&g| if inclusive { g <= x } else { g < x })
+        }
+    }
+
+    /// The `t`-th break in ascending view order.
+    #[inline]
+    fn view_break<const M: bool>(&self, t: usize) -> Option<usize> {
+        let b = self.gaps.breaks();
+        if M {
+            (t < b.len()).then(|| self.n - b[b.len() - 1 - t])
+        } else {
+            b.get(t).copied()
+        }
+    }
+
+    /// Whether the view range `[lo, hi)` carries the Monge certificate:
     /// values monotone in every dimension, so the window's cost matrix
     /// provably satisfies the quadrangle inequality (see [`monge`]).
     #[inline]
-    fn monotone_span(&self, lo: usize, hi: usize) -> bool {
-        match &self.mono_end {
-            Some(mono) => hi <= mono[lo],
-            None => false,
-        }
+    fn monotone_span<const M: bool>(&self, lo: usize, hi: usize) -> bool {
+        let (a, b) = if M { (self.n - hi, self.n - lo) } else { (lo, hi) };
+        self.mono_end.as_ref().is_some_and(|mono| b <= mono[a])
     }
 
     /// Whether a non-forced window of the given extent runs a Monge
     /// engine under this engine's strategy — and which one: SMAWK for
     /// wide windows, the allocation-free divide-and-conquer fallback for
     /// windows below [`MONGE_AUTO_MIN_WINDOW`] (only reachable when
-    /// [`DpStrategy::Monge`] is pinned — [`DpStrategy::Auto`] hands tiny
-    /// windows to the scan instead). `mono` is the window's Monge
+    /// [`DpStrategy::Monge`] is pinned). `mono` is the window's Monge
     /// certificate; without it every strategy scans — exactness first.
     #[inline]
     fn window_engine(&self, mono: bool, rows: usize, cols: usize) -> Option<RowMinEngine> {
@@ -615,141 +831,171 @@ impl DpEngine {
         }
         let wide = rows >= MONGE_AUTO_MIN_WINDOW && cols >= MONGE_AUTO_MIN_WINDOW;
         match self.strategy {
-            DpStrategy::Scan => None,
             DpStrategy::Monge => {
                 Some(if wide { RowMinEngine::Smawk } else { RowMinEngine::DivideConquer })
             }
             DpStrategy::Auto => wide.then_some(RowMinEngine::Smawk),
-            // Approx engines scan their (sparsified) candidate sets; the
-            // Monge row minimizers assume the full range.
-            DpStrategy::Approx(_) => None,
+            // Approx windows solve their own sparse grid.
+            DpStrategy::Scan | DpStrategy::Approx(_) => None,
         }
     }
 
-    /// Fills row `k` of the subproblem "partition tuples `lo..hi`": for
-    /// every prefix length `i` in the row's *window* `lo + k ..= imax(k)`,
-    /// `cur[i]` becomes the smallest SSE of reducing tuples `lo..i` to `k`
-    /// tuples, reading row `k − 1` from `prev`. Rows are full-width and
-    /// absolute-indexed; only the window is reset (to `∞`) and written, so
-    /// a row costs `O(window)` — on gap-rich data the window is far
-    /// smaller than `n`, which is what keeps paper-scale runs near-linear.
-    /// Callers must hand in row buffers whose `[lo..=hi]` slice was
+    /// The row skeleton: fills row `k` of the subproblem "partition view
+    /// tuples `span = lo..hi`" into `cur`, reading row `k − 1` from
+    /// `prev` (one slice per value row of solver `s`). For every view
+    /// prefix length `i` in the row's *window* `lo + k ..= imax(k)`,
+    /// `cur[i]` becomes the smallest SSE of reducing view tuples `lo..i`
+    /// to `k` tuples — with `MIRROR`, the suffix `n − i..n − lo` of the
+    /// original input. Rows are full-width and absolute-indexed; only the
+    /// window is reset (to `∞`) and written, so a row costs `O(window)`.
+    /// Callers must hand in rows whose `[lo..=hi]` slice was
     /// `∞`-initialized before row 1 and alternate `prev`/`cur` between
-    /// consecutive rows; positions outside every window then stay `∞`
-    /// (windows only move right as `k` grows), which is exactly their
-    /// semantic value. When `jrow` is given, records the best split point
-    /// per cell. Returns the per-strategy split-point evaluation counts.
+    /// consecutive rows; positions outside every window then stay `∞`.
+    /// When `jrow` is given, records the best split point per cell.
     ///
-    /// Cells decompose into inter-break windows (all cells between two
-    /// consecutive breaks share their `jmin` bound, their forced-split
-    /// status, and a break-free candidate range), so the gap lookups are
-    /// hoisted out of the cell loop and each window is minimized either
-    /// by the Fig. 7 scan or by SMAWK per [`DpStrategy`].
-    ///
-    /// `lo = 0, hi = n` is the classic whole-input DP row (Fig. 7);
-    /// arbitrary subranges serve the divide-and-conquer recursion.
-    ///
-    /// The row polls the engine's [`CancelToken`] at entry and again
-    /// ahead of every window whose estimated work exceeds
-    /// [`CANCEL_CHECK_MIN_WORK`] (parallel chunks poll once each); a
-    /// fired token aborts the fill with [`CoreError::Cancelled`] /
-    /// [`CoreError::DeadlineExceeded`]. An aborted row leaves `cur` in an
-    /// unspecified state — callers must not read it on the error path.
-    pub(crate) fn fill_row_fwd(
+    /// The row polls the engine's [`CancelToken`] at entry, ahead of every
+    /// window whose estimated work exceeds [`CANCEL_CHECK_MIN_WORK`], and
+    /// once per parallel chunk. An aborted row leaves `cur` unspecified.
+    /// Parallel chunks never share cells and each cell's scan state is
+    /// local, so every thread budget yields bit-identical rows, and the
+    /// counters are summed in window order.
+    pub(crate) fn fill_into<const M: bool, const R: usize, S: WindowSolver<R>>(
         &self,
+        s: &S,
         k: usize,
-        lo: usize,
-        hi: usize,
-        prev: &[f64],
-        cur: &mut [f64],
+        span: Range<usize>,
+        prev: [&[f64]; R],
+        mut cur: [&mut [f64]; R],
         mut jrow: Option<&mut [usize]>,
     ) -> Result<Cells, CoreError> {
+        let (lo, hi) = (span.start, span.end);
         debug_assert!(k >= 1 && lo <= hi && hi <= self.n);
         fail_point!("dp.fill_row", |msg: String| Err(CoreError::Panic { message: msg }));
         self.cancel.check()?;
-        let imax = if self.prune { self.gaps.imax_within(k, lo, hi) } else { hi };
+        let imax = if self.prune { self.imax_within::<M>(k, lo, hi) } else { hi };
         if lo + k > imax {
             return Ok(Cells::default());
         }
-        cur[lo + k..=imax].fill(f64::INFINITY);
-        let mut cells = Cells::default();
-        if k == 1 {
+        for row in cur.iter_mut() {
+            row[lo + k..=imax].fill(f64::INFINITY);
+        }
+        if k == 1 || !self.prune {
+            // One window spans the row: a single piece (k = 1), or the
+            // unpruned baseline's scan with per-pair break checks.
+            let task = WindowTask::Open { jmin: lo + k - 1, engine: None };
+            let w = RowWindow { ws: lo + k, we: imax, task };
+            let mut job = Job { w, edges: (w.ws, w.we), out: cur, jout: jrow, at: 0 };
+            if k > 1 {
+                return Ok(self.naive_row::<M, R>(&mut job, &prev));
+            }
             // First row: the whole (sub)prefix merges into one tuple.
-            for i in (lo + 1)..=imax {
-                cur[i] = self.cost(lo, i);
-                if let Some(jr) = jrow.as_deref_mut() {
-                    jr[i] = lo;
-                }
+            for i in w.ws..=w.we {
+                job.put(i, [self.cost::<M>(lo, i); R], lo);
             }
-            cells.scan += (imax - lo) as u64;
-            return Ok(cells);
+            return Ok(Cells { scan: (imax - lo) as u64, monge: 0 });
         }
-        let floor = lo + k - 1;
-        if !self.prune {
-            // Fig. 18 naive baseline: every candidate of every cell, with
-            // the per-pair crossing check folded into the cost.
-            for i in (lo + k)..=imax {
-                let mut best = f64::INFINITY;
-                let mut best_j = floor;
-                for j in (floor..i).rev() {
-                    cells.scan += 1;
-                    let err2 = self.cost(j, i);
-                    let total = prev[j] + err2;
-                    if total < best {
-                        best = total;
-                        best_j = j;
-                    }
-                    if self.early_break && err2 > best {
-                        break;
-                    }
-                }
-                cur[i] = best;
-                if let Some(jr) = jrow.as_deref_mut() {
-                    jr[i] = best_j;
-                }
-            }
-            return Ok(cells);
-        }
-
-        // Pruned: decompose [lo + k, imax] into inter-break windows (all
-        // cells i in (g, g'] between consecutive breaks share the same
-        // rightmost break below, the same internal-break count, and a
-        // break-free candidate range), then solve each window — on the
-        // pool when the row is worth fanning out, sequentially otherwise.
-        // The per-cell computation is identical either way.
-        let windows = self.collect_windows_fwd(k, lo, imax);
-        let work: u64 = windows.iter().map(|w| w.work(true)).sum();
+        let windows = self.collect_windows::<M>(k, lo, imax);
+        let work: u64 = windows.iter().map(|w| s.work(w)).sum();
         if self.pool.threads() > 1 && !pta_pool::in_worker() && work >= PAR_MIN_ROW_WORK {
-            cells += self.fill_windows_par(&windows, work, true, prev, cur, jrow, lo + k, imax)?;
-            return Ok(cells);
+            return self.fill_par::<M, R, S>(s, &windows, work, &prev, cur, jrow);
         }
-        for w in &windows {
-            if w.work(true) >= CANCEL_CHECK_MIN_WORK {
+        let mut cells = Cells::default();
+        for &w in &windows {
+            if s.work(&w) >= CANCEL_CHECK_MIN_WORK {
                 self.cancel.check()?;
             }
-            cells += self.solve_window_fwd(w, prev, cur, jrow.as_deref_mut(), 0);
+            let out = cur.each_mut().map(|r| &mut **r);
+            let job = Job { w, edges: (w.ws, w.we), out, jout: jrow.as_deref_mut(), at: 0 };
+            cells += self.solve::<M, R, S>(s, job, &prev);
         }
         Ok(cells)
     }
 
-    /// Window walk of the forward fill: records each inter-break window of
-    /// `[lo + k, imax]` with its minimization task (see the
-    /// [`DpEngine::fill_row_fwd`] docs for the window invariants).
-    fn collect_windows_fwd(&self, k: usize, lo: usize, imax: usize) -> Vec<RowWindow> {
+    /// [`DpEngine::fill_into`] over a row pair, which then holds row `k`
+    /// as its `prev`.
+    pub(crate) fn fill_row<const M: bool, const R: usize, S: WindowSolver<R>>(
+        &self,
+        s: &S,
+        k: usize,
+        span: Range<usize>,
+        rows: &mut RowPair<R>,
+        jrow: Option<&mut [usize]>,
+    ) -> Result<Cells, CoreError> {
+        let RowPair { prev, cur } = rows;
+        let cells = self.fill_into::<M, R, S>(
+            s,
+            k,
+            span,
+            prev.each_ref().map(|r| &r[..]),
+            cur.each_mut().map(|r| &mut r[..]),
+            jrow,
+        )?;
+        std::mem::swap(prev, cur);
+        Ok(cells)
+    }
+
+    /// Fig. 18 naive baseline: every candidate of every cell, with the
+    /// per-pair crossing check folded into the cost (exact solver only).
+    // pta-lint: allow(cancel-coverage) — one row; its caller
+    // DpEngine::fill_into polls the token at row entry.
+    fn naive_row<const M: bool, const R: usize>(
+        &self,
+        job: &mut Job<'_, R>,
+        prev: &[&[f64]; R],
+    ) -> Cells {
+        debug_assert_eq!(R, 1, "the naive baseline runs the exact solver");
+        let floor = job.w.ws - 1;
+        let mut scan = 0;
+        for i in job.w.ws..=job.w.we {
+            let mut best = f64::INFINITY;
+            let mut best_j = floor;
+            for j in (floor..i).rev() {
+                scan += 1;
+                let err2 = self.cost::<M>(j, i);
+                let total = prev[0][j] + err2;
+                if total < best {
+                    best = total;
+                    best_j = j;
+                }
+                if self.early_break && err2 > best {
+                    break;
+                }
+            }
+            job.put(i, [best; R], best_j);
+        }
+        Cells { scan, monge: 0 }
+    }
+
+    /// The longest view prefix of `lo..hi` reducible to `k ≥ 1` tuples —
+    /// mirrored, the shortest original suffix.
+    fn imax_within<const M: bool>(&self, k: usize, lo: usize, hi: usize) -> usize {
+        let n = self.n;
+        if M {
+            n - self.gaps.imin_within(k, n - hi, n - lo)
+        } else {
+            self.gaps.imax_within(k, lo, hi)
+        }
+    }
+
+    /// Window walk: records each inter-break window of `[lo + k, imax]`
+    /// with its minimization task. All cells `i` in `(g, g']` between
+    /// consecutive breaks share the rightmost break below, the number of
+    /// breaks forcing cuts, and a break-free candidate range.
+    fn collect_windows<const M: bool>(&self, k: usize, lo: usize, imax: usize) -> Vec<RowWindow> {
         let floor = lo + k - 1;
-        let breaks = self.gaps.breaks();
-        let base = breaks.partition_point(|&g| g <= lo);
+        let base = self.breaks_before::<M>(lo, true);
         let mut windows = Vec::new();
         let mut ws = lo + k;
+        // Breaks below `ws`: each window but the last ends on a break, so
+        // the next window has exactly one more below it.
+        let mut bidx = self.breaks_before::<M>(ws, false);
         while ws <= imax {
-            let bidx = breaks.partition_point(|&g| g < ws);
-            let g_below = (bidx > base).then(|| breaks[bidx - 1]);
-            let we = match breaks.get(bidx) {
-                Some(&g) if g < imax => g,
+            let g_below = if bidx > base { self.view_break::<M>(bidx - 1) } else { None };
+            let we = match self.view_break::<M>(bidx) {
+                Some(g) if g < imax => g,
                 _ => imax,
             };
-            let nb = bidx - base;
-            let task = match g_below.filter(|_| nb == k - 1) {
+            let task = match g_below.filter(|_| bidx - base == k - 1) {
                 // Forced split: the prefix has exactly k − 1 internal
                 // breaks, so every cut is pinned to the rightmost break
                 // (Fig. 7 lines 13–16). g < floor means the forced prefix
@@ -760,175 +1006,116 @@ impl DpEngine {
                 None => {
                     let jmin = g_below.map_or(floor, |g| g.max(floor));
                     debug_assert!(jmin < ws, "every window cell has at least one candidate");
-                    let mono = self.monotone_span(jmin, we);
-                    let engine = self.window_engine(mono, we - ws + 1, we - jmin);
-                    WindowTask::Open { jbound: jmin, engine }
+                    let mono = self.monotone_span::<M>(jmin, we);
+                    WindowTask::Open {
+                        jmin,
+                        engine: self.window_engine(mono, we - ws + 1, we - jmin),
+                    }
                 }
             };
             windows.push(RowWindow { ws, we, task });
             ws = we + 1;
+            bidx += 1;
         }
         windows
     }
 
-    /// Solves one forward window (or chunk) into `out`: cell `i` lands at
-    /// `out[i − at]`, so the sequential path passes the whole
-    /// absolute-indexed row with `at = 0` and the parallel path passes
-    /// each job's disjoint subslice with `at = w.ws`.
-    fn solve_window_fwd(
+    /// Solves one window or chunk: forced windows here, open ones by the
+    /// solver.
+    fn solve<const M: bool, const R: usize, S: WindowSolver<R>>(
         &self,
-        w: &RowWindow,
-        prev: &[f64],
-        out: &mut [f64],
-        mut jout: Option<&mut [usize]>,
-        at: usize,
+        s: &S,
+        mut job: Job<'_, R>,
+        prev: &[&[f64]; R],
     ) -> Cells {
-        let mut cells = Cells::default();
-        match w.task {
+        match job.w.task {
             WindowTask::Forced { g, feasible } => {
-                cells.scan += w.cells() as u64;
                 if feasible {
-                    for i in w.ws..=w.we {
-                        out[i - at] = prev[g] + self.stats.range_sse(&self.weights, g..i);
-                        if let Some(jr) = jout.as_deref_mut() {
-                            jr[i - at] = g;
-                        }
+                    for i in job.w.ws..=job.w.we {
+                        let err2 = self.seg::<M>(g, i);
+                        job.put(i, std::array::from_fn(|r| prev[r][g] + err2), g);
                     }
                 }
+                Cells { scan: job.w.cells() as u64, monge: 0 }
             }
-            WindowTask::Open { jbound: jmin, engine } => {
-                let mut solved = false;
-                if let Some(engine) = engine {
-                    let (evals, ok) = self.monge_window_fwd(
-                        engine,
-                        prev,
-                        out,
-                        jout.as_deref_mut(),
-                        at,
-                        w.ws,
-                        w.we,
-                        jmin,
-                    );
-                    cells.monge += evals;
-                    solved = ok;
-                }
-                if !solved {
-                    for i in w.ws..=w.we {
-                        let mut best = f64::INFINITY;
-                        let mut best_j = jmin;
-                        // Decreasing j: the range SSE err2 grows
-                        // monotonically, so once it alone exceeds the best
-                        // total the loop can stop (Fig. 7 line 24).
-                        for j in (jmin..i).rev() {
-                            cells.scan += 1;
-                            // j ≥ jmin guarantees the range crosses no break.
-                            let err2 = self.stats.range_sse(&self.weights, j..i);
-                            let total = prev[j] + err2;
-                            if total < best {
-                                best = total;
-                                best_j = j;
-                            }
-                            if self.early_break && err2 > best {
-                                break;
-                            }
-                        }
-                        out[i - at] = best;
-                        if let Some(jr) = jout.as_deref_mut() {
-                            jr[i - at] = best_j;
-                        }
-                    }
-                }
-            }
+            WindowTask::Open { jmin, engine } => s.solve_open::<M>(self, job, prev, jmin, engine),
         }
-        cells
     }
 
-    /// Refines a row's windows into parallel chunks: scan windows above
-    /// the per-chunk work target split into cell ranges — each chunk
-    /// keeps its window's candidate bound, so the per-cell scans are
-    /// exactly the sequential ones — while forced and Monge windows stay
-    /// whole (SMAWK is sequential per window). Chunk work is balanced by
-    /// the same estimate the fan-out gate uses.
-    fn chunk_windows(&self, windows: &[RowWindow], work: u64, fwd: bool) -> Vec<RowWindow> {
+    /// Refines a row's windows into parallel chunks: open scan windows
+    /// above the per-chunk work target split into cell ranges — each chunk
+    /// keeps its window's task and edges, so its cells are solved exactly
+    /// as sequentially — while forced and Monge windows stay whole. Chunks
+    /// are balanced by the solver's per-cell estimate.
+    fn chunk_windows<const M: bool, const R: usize, S: WindowSolver<R>>(
+        &self,
+        s: &S,
+        windows: &[RowWindow],
+        work: u64,
+    ) -> Vec<(RowWindow, (usize, usize))> {
         let target = (work / (self.pool.threads() as u64 * PAR_CHUNKS_PER_WORKER)).max(1);
         let mut chunks = Vec::new();
-        for w in windows {
-            let WindowTask::Open { jbound, engine: None } = w.task else {
-                chunks.push(*w);
+        for &w in windows {
+            let edges = (w.ws, w.we);
+            let WindowTask::Open { jmin, engine: None } = w.task else {
+                chunks.push((w, edges));
                 continue;
             };
-            if w.work(fwd) <= target || w.cells() < 2 * PAR_MIN_CHUNK_CELLS {
-                chunks.push(*w);
+            if s.work(&w) <= target || w.cells() < 2 * PAR_MIN_CHUNK_CELLS {
+                chunks.push((w, edges));
                 continue;
             }
             let mut cs = w.ws;
             let mut acc = 0u64;
             for i in w.ws..=w.we {
-                acc += if fwd { (i - jbound) as u64 } else { (jbound - i) as u64 };
+                acc += s.cell_work::<M>(self, i, i - jmin);
                 if acc >= target && i < w.we && i + 1 - cs >= PAR_MIN_CHUNK_CELLS {
-                    chunks.push(RowWindow { ws: cs, we: i, task: w.task });
+                    chunks.push((RowWindow { ws: cs, we: i, ..w }, edges));
                     cs = i + 1;
                     acc = 0;
                 }
             }
-            chunks.push(RowWindow { ws: cs, we: w.we, task: w.task });
+            chunks.push((RowWindow { ws: cs, ..w }, edges));
         }
         chunks
     }
 
-    /// Fans one row's windows out across the pool: chunks the windows,
-    /// tiles the row region `cur[first..=last]` (and `jrow`) into
-    /// disjoint per-chunk slices in window order, and solves every chunk
-    /// with the same per-cell code the sequential path runs. Results are
-    /// bit-identical to the sequential fill — chunks never share cells,
-    /// and each cell's scan state (`best`, `best_j`, early break) is
-    /// local to the cell — and the evaluation counters are summed in
-    /// window order, so [`DpStats`] is deterministic too.
-    ///
-    /// Each chunk polls the cancel token before solving; the first error
-    /// in window order wins (remaining chunks still run — the pool has no
-    /// early stop — but their output is discarded with the row).
-    #[allow(clippy::too_many_arguments)]
-    fn fill_windows_par(
+    /// Fans one row's windows out across the pool: chunks them, tiles the
+    /// row region (and `jrow`) into disjoint per-chunk slices in window
+    /// order, and solves every chunk with the sequential per-cell code.
+    /// Each chunk polls the cancel token first; the first error in window
+    /// order wins.
+    fn fill_par<const M: bool, const R: usize, S: WindowSolver<R>>(
         &self,
+        s: &S,
         windows: &[RowWindow],
         work: u64,
-        fwd: bool,
-        prev: &[f64],
-        cur: &mut [f64],
+        prev: &[&[f64]; R],
+        cur: [&mut [f64]; R],
         jrow: Option<&mut [usize]>,
-        first: usize,
-        last: usize,
     ) -> Result<Cells, CoreError> {
-        let chunks = self.chunk_windows(windows, work, fwd);
-        let mut jobs: Vec<RowJob<'_>> = Vec::with_capacity(chunks.len());
-        let mut tail: &mut [f64] = &mut cur[first..=last];
-        let mut jtail: Option<&mut [usize]> = match jrow {
-            Some(j) => Some(&mut j[first..=last]),
-            None => None,
-        };
-        for w in chunks {
-            let (head, rest) = std::mem::take(&mut tail).split_at_mut(w.cells());
-            tail = rest;
-            let jhead = match jtail.take() {
-                Some(j) => {
-                    let (jh, jr) = j.split_at_mut(w.cells());
-                    jtail = Some(jr);
-                    Some(jh)
-                }
-                None => None,
-            };
-            jobs.push((w, head, jhead));
+        let (first, last) = (windows[0].ws, windows[windows.len() - 1].we);
+        let mut tails = cur.map(|r| &mut r[first..=last]);
+        let mut jtail = jrow.map(|j| &mut j[first..=last]);
+        let chunks = self.chunk_windows::<M, R, S>(s, windows, work);
+        let mut jobs = Vec::with_capacity(chunks.len());
+        for (w, edges) in chunks {
+            let out = tails.each_mut().map(|t| {
+                let (head, rest) = std::mem::take(t).split_at_mut(w.cells());
+                *t = rest;
+                head
+            });
+            let jout = jtail.take().map(|j| {
+                let (head, rest) = j.split_at_mut(w.cells());
+                jtail = Some(rest);
+                head
+            });
+            jobs.push(Job { w, edges, out, jout, at: w.ws });
         }
-        debug_assert!(tail.is_empty(), "chunks must tile the row region exactly");
-        let results: Vec<Result<Cells, CoreError>> = self.pool.map(jobs, |(w, out, jout)| {
+        debug_assert!(tails.iter().all(|t| t.is_empty()), "chunks must tile the row exactly");
+        let results: Vec<Result<Cells, CoreError>> = self.pool.map(jobs, |job| {
             self.cancel.check()?;
-            Ok(if fwd {
-                self.solve_window_fwd(&w, prev, out, jout, w.ws)
-            } else {
-                debug_assert!(jout.is_none(), "backward rows record no split points");
-                self.solve_window_bwd(&w, prev, out, w.ws)
-            })
+            Ok(self.solve::<M, R, S>(s, job, prev))
         });
         let mut cells = Cells::default();
         for c in results {
@@ -937,287 +1124,67 @@ impl DpEngine {
         Ok(cells)
     }
 
-    /// Solves one forward inter-break window `[ws, we]` with candidate
-    /// columns `[jmin, we − 1]` by Monge row minimization. All candidates
-    /// are break-free and `prev` is finite on the whole column range (a
-    /// non-forced window has at most `k − 2` internal breaks below it, so
-    /// every candidate prefix was feasible in row `k − 1`); invalid
-    /// `j ≥ i` cells get the exact graded pad. Ties prefer the largest
-    /// `j`, matching the decreasing-`j` scan. Returns the evaluation
-    /// count and whether the window was solved — `false` (nothing
-    /// written, caller must scan) when a pad won a row, which only
-    /// happens if a real cost reached the pad range (astronomical data
-    /// magnitudes or a non-finite `prev`). Cell `i` writes `out[i − at]`
-    /// (see [`DpEngine::solve_window_fwd`]).
-    #[allow(clippy::too_many_arguments)]
-    fn monge_window_fwd(
+    /// Solves an open window by Monge row minimization over candidates
+    /// `[jmin, i)`. All candidates are break-free and `prev` is finite on
+    /// the whole column range; invalid cells get the exact graded pad.
+    /// The engine always sees the window in the *original* orientation —
+    /// SMAWK's evaluation order is not invariant under reversal, so a
+    /// mirrored window keeps the suffix fill's evaluations and its
+    /// preference for the smallest original split (the view's largest).
+    /// Returns the evaluation count and whether the window was solved —
+    /// `false` (caller must scan) when the magnitude certificate or the
+    /// debug QI sample rejects the window, or a pad won a row.
+    // Out of line: the rare Monge path must not crowd the registers of
+    // the scan it falls back to (measured on the forward scan).
+    #[inline(never)]
+    // pta-lint: allow(cancel-coverage) — one window; its caller
+    // DpEngine::fill_into polls the token ahead of large windows.
+    fn monge_window<const M: bool>(
         &self,
         engine: RowMinEngine,
+        job: &mut Job<'_, 1>,
         prev: &[f64],
-        out: &mut [f64],
-        mut jrow: Option<&mut [usize]>,
-        at: usize,
-        ws: usize,
-        we: usize,
         jmin: usize,
     ) -> (u64, bool) {
-        let stats = &self.stats;
-        let weights = &self.weights;
+        let (ws, we, n) = (job.w.ws, job.w.we, self.n);
         // Magnitude certificate: every oracle entry is bounded by the
         // window-spanning segment's SSE plus the largest `prev` on the
-        // column range (`E[k−1][·]` is nondecreasing, so sampling both
-        // ends suffices up to fp noise — hence the 2³⁰ margin). If that
-        // bound approaches the pad range, real costs could outgrow pads
-        // and catastrophic cancellation dwarfs the QI tolerance — scan
-        // instead.
-        let bound = prev[jmin].max(prev[we - 1]) + stats.range_sse(weights, jmin..we);
+        // column range (monotone rows, so sampling both ends suffices up
+        // to fp noise — hence the 2³⁰ margin).
+        let bound = prev[jmin].max(prev[we - 1]) + self.seg::<M>(jmin, we);
         if !monge::pads_dominate(bound) {
             return (0, false);
         }
-        let oracle = |i: usize, j: usize| {
-            if j < i {
-                prev[j] + stats.range_sse(weights, j..i)
-            } else {
-                monge::pad(j - i)
-            }
+        let (rows, cols) = if M {
+            ((n - we)..=(n - ws), (n - we + 1)..=(n - jmin))
+        } else {
+            (ws..=we, jmin..=(we - 1))
         };
+        let oracle = |i: usize, j: usize| match (M, i.cmp(&j)) {
+            (true, std::cmp::Ordering::Less) => {
+                self.stats.range_sse(&self.weights, i..j) + prev[n - j]
+            }
+            (false, std::cmp::Ordering::Greater) => {
+                prev[j] + self.stats.range_sse(&self.weights, j..i)
+            }
+            _ => monge::pad(i.abs_diff(j)),
+        };
+        // Data-dependent, not a bug: mixed magnitudes can break the
+        // computed QI by more than rounding ulps. Fall back to the scan.
         #[cfg(debug_assertions)]
-        {
-            // Data-dependent, not a bug: mixed magnitudes can break the
-            // computed QI by more than rounding ulps even below the
-            // magnitude certificate. Fall back to the scan.
-            if monge::validate_qi(oracle, ws..=we, jmin..=(we - 1), 4, 1e-9).is_some() {
-                return (0, false);
-            }
-        }
-        let minima = monge::window_minima(engine, oracle, ws..=we, jmin..=(we - 1), true);
-        if !minima.values.iter().all(|v| *v < monge::pad_floor()) {
-            debug_assert!(
-                false,
-                "pad won a forward cell in [{ws}, {we}] despite the magnitude certificate"
-            );
-            return (minima.evals, false);
-        }
-        for (r, i) in (ws..=we).enumerate() {
-            out[i - at] = minima.values[r];
-            if let Some(jr) = jrow.as_deref_mut() {
-                jr[i - at] = minima.argmins[r];
-            }
-        }
-        (minima.evals, true)
-    }
-
-    /// Mirror image of [`DpEngine::fill_row_fwd`]: fills *suffix*-DP row
-    /// `k`. For every prefix length `i` in `lo ..= hi − k`, `cur[i]`
-    /// becomes the smallest SSE of reducing tuples `i..hi` to `k` tuples,
-    /// reading row `k − 1` from `prev`. All §5.3 accelerations apply in
-    /// mirrored form: `imin`/`jmax` gap bounds, the pinned cut when the
-    /// suffix holds exactly `k − 1` internal breaks, and the increasing-`j`
-    /// early break (the head-range SSE grows monotonically with `j`).
-    /// Inter-break windows and the [`DpStrategy`] dispatch mirror the
-    /// forward fill too; ties prefer the *smallest* `j`, matching the
-    /// increasing-`j` scan.
-    ///
-    /// The divide-and-conquer backtracking pairs this with the forward
-    /// fill to locate optimal midpoints without a split-point table.
-    pub(crate) fn fill_row_bwd(
-        &self,
-        k: usize,
-        lo: usize,
-        hi: usize,
-        prev: &[f64],
-        cur: &mut [f64],
-    ) -> Result<Cells, CoreError> {
-        debug_assert!(k >= 1 && lo <= hi && hi <= self.n && hi - lo >= k);
-        fail_point!("dp.fill_row", |msg: String| Err(CoreError::Panic { message: msg }));
-        self.cancel.check()?;
-        let imin = if self.prune { self.gaps.imin_within(k, lo, hi) } else { lo };
-        if imin > hi - k {
-            return Ok(Cells::default());
-        }
-        cur[imin..=(hi - k)].fill(f64::INFINITY);
-        let mut cells = Cells::default();
-        if k == 1 {
-            // Index loop mirrors the forward fill cell-for-cell.
-            #[allow(clippy::needless_range_loop)]
-            for i in imin..=(hi - 1) {
-                cur[i] = self.cost(i, hi);
-            }
-            cells.scan += (hi - imin) as u64;
-            return Ok(cells);
-        }
-        let ceil = hi - (k - 1);
-        if !self.prune {
-            // Index loops mirror the forward fill cell-for-cell.
-            #[allow(clippy::needless_range_loop)]
-            for i in imin..=(hi - k) {
-                let mut best = f64::INFINITY;
-                for j in (i + 1)..=ceil {
-                    cells.scan += 1;
-                    let err2 = self.cost(i, j);
-                    let total = err2 + prev[j];
-                    if total < best {
-                        best = total;
-                    }
-                    if self.early_break && err2 > best {
-                        break;
-                    }
-                }
-                cur[i] = best;
-            }
-            return Ok(cells);
-        }
-
-        // Pruned: decompose into the mirrored inter-break windows — all
-        // cells i in [g, g') share the same leftmost break above,
-        // internal-break count, and break-free candidate range — and
-        // solve them like the forward fill: on the pool when the row is
-        // worth fanning out, sequentially otherwise.
-        let windows = self.collect_windows_bwd(k, hi, imin);
-        let work: u64 = windows.iter().map(|w| w.work(false)).sum();
-        if self.pool.threads() > 1 && !pta_pool::in_worker() && work >= PAR_MIN_ROW_WORK {
-            cells += self.fill_windows_par(&windows, work, false, prev, cur, None, imin, hi - k)?;
-            return Ok(cells);
-        }
-        for w in &windows {
-            if w.work(false) >= CANCEL_CHECK_MIN_WORK {
-                self.cancel.check()?;
-            }
-            cells += self.solve_window_bwd(w, prev, cur, 0);
-        }
-        Ok(cells)
-    }
-
-    /// Window walk of the backward fill: records each mirrored
-    /// inter-break window of `[imin, hi − k]` with its minimization task.
-    fn collect_windows_bwd(&self, k: usize, hi: usize, imin: usize) -> Vec<RowWindow> {
-        let ceil = hi - (k - 1);
-        let breaks = self.gaps.breaks();
-        let limit = breaks.partition_point(|&g| g < hi);
-        let mut windows = Vec::new();
-        let mut ws = imin;
-        while ws <= hi - k {
-            let bidx = breaks.partition_point(|&g| g <= ws);
-            let g_above = (bidx < limit).then(|| breaks[bidx]);
-            let we = match g_above {
-                Some(g) => (g - 1).min(hi - k),
-                None => hi - k,
-            };
-            let nb = limit - bidx;
-            let task = match g_above.filter(|_| nb == k - 1) {
-                // Forced split, mirrored: exactly k − 1 internal breaks in
-                // the suffix pin the first cut to the leftmost break.
-                // g > ceil: the forced suffix cannot hold k − 1 tuples —
-                // infeasible, keep ∞ (prev[g] may be a stale older row
-                // outside row k − 1's window).
-                Some(g) => WindowTask::Forced { g, feasible: g <= ceil },
-                None => {
-                    let jmax = g_above.map_or(ceil, |g| g.min(ceil));
-                    debug_assert!(jmax > ws, "every window cell has at least one candidate");
-                    let mono = self.monotone_span(ws, jmax);
-                    let engine = self.window_engine(mono, we - ws + 1, jmax - ws);
-                    WindowTask::Open { jbound: jmax, engine }
-                }
-            };
-            windows.push(RowWindow { ws, we, task });
-            ws = we + 1;
-        }
-        windows
-    }
-
-    /// Backward counterpart of [`DpEngine::solve_window_fwd`]: solves one
-    /// mirrored window (or chunk) into `out` at offset `at`. Backward
-    /// rows never record split points.
-    fn solve_window_bwd(&self, w: &RowWindow, prev: &[f64], out: &mut [f64], at: usize) -> Cells {
-        let mut cells = Cells::default();
-        match w.task {
-            WindowTask::Forced { g, feasible } => {
-                cells.scan += w.cells() as u64;
-                if feasible {
-                    for i in w.ws..=w.we {
-                        out[i - at] = self.stats.range_sse(&self.weights, i..g) + prev[g];
-                    }
-                }
-            }
-            WindowTask::Open { jbound: jmax, engine } => {
-                let mut solved = false;
-                if let Some(engine) = engine {
-                    let (evals, ok) =
-                        self.monge_window_bwd(engine, prev, out, at, w.ws, w.we, jmax);
-                    cells.monge += evals;
-                    solved = ok;
-                }
-                if !solved {
-                    for i in w.ws..=w.we {
-                        let mut best = f64::INFINITY;
-                        // Index loop mirrors the forward fill cell-for-cell.
-                        #[allow(clippy::needless_range_loop)]
-                        for j in (i + 1)..=jmax {
-                            cells.scan += 1;
-                            // j ≤ jmax guarantees the range crosses no break.
-                            let err2 = self.stats.range_sse(&self.weights, i..j);
-                            let total = err2 + prev[j];
-                            if total < best {
-                                best = total;
-                            }
-                            if self.early_break && err2 > best {
-                                break;
-                            }
-                        }
-                        out[i - at] = best;
-                    }
-                }
-            }
-        }
-        cells
-    }
-
-    /// Backward counterpart of [`DpEngine::monge_window_fwd`]: cells
-    /// `[ws, we]`, candidate columns `[ws + 1, jmax]`, invalid `j ≤ i`
-    /// cells padded; ties prefer the smallest `j`. Same pad-won-a-row
-    /// fallback contract; cell `i` writes `out[i − at]`.
-    #[allow(clippy::too_many_arguments)]
-    fn monge_window_bwd(
-        &self,
-        engine: RowMinEngine,
-        prev: &[f64],
-        out: &mut [f64],
-        at: usize,
-        ws: usize,
-        we: usize,
-        jmax: usize,
-    ) -> (u64, bool) {
-        let stats = &self.stats;
-        let weights = &self.weights;
-        // Mirrored magnitude certificate (the suffix row `prev` is
-        // nonincreasing in `j`; sample both ends, same 2³⁰ margin).
-        let bound = prev[ws + 1].max(prev[jmax]) + stats.range_sse(weights, ws..jmax);
-        if !monge::pads_dominate(bound) {
+        if monge::validate_qi(oracle, rows.clone(), cols.clone(), 4, 1e-9).is_some() {
             return (0, false);
         }
-        let oracle = |i: usize, j: usize| {
-            if j > i {
-                stats.range_sse(weights, i..j) + prev[j]
-            } else {
-                monge::pad(i - j)
-            }
-        };
-        #[cfg(debug_assertions)]
-        {
-            if monge::validate_qi(oracle, ws..=we, (ws + 1)..=jmax, 4, 1e-9).is_some() {
-                return (0, false);
-            }
-        }
-        let minima = monge::window_minima(engine, oracle, ws..=we, (ws + 1)..=jmax, false);
+        let minima = monge::window_minima(engine, oracle, rows.clone(), cols, !M);
         if !minima.values.iter().all(|v| *v < monge::pad_floor()) {
             debug_assert!(
                 false,
-                "pad won a backward cell in [{ws}, {we}] despite the magnitude certificate"
+                "pad won a cell in [{ws}, {we}] despite the magnitude certificate"
             );
             return (minima.evals, false);
         }
-        for (r, i) in (ws..=we).enumerate() {
-            out[i - at] = minima.values[r];
+        for (r, (&v, &j)) in minima.values.iter().zip(&minima.argmins).enumerate() {
+            job.put(self.pos::<M>(rows.start() + r), [v], self.pos::<M>(j));
         }
         (minima.evals, true)
     }
@@ -1225,11 +1192,10 @@ impl DpEngine {
     /// Reconstructs the partition boundaries from the split-point matrix:
     /// rows `1..=k`, each of width `n + 1`, flattened row-major.
     pub(crate) fn backtrack(&self, jm: &[usize], k: usize) -> Vec<usize> {
-        let n = self.n;
-        let width = n + 1;
+        let width = self.n + 1;
         let mut bounds = Vec::with_capacity(k + 1);
-        bounds.push(n);
-        let mut i = n;
+        bounds.push(self.n);
+        let mut i = self.n;
         for kk in (1..=k).rev() {
             let j = jm[(kk - 1) * width + i];
             debug_assert!(j < i, "split point must shrink the prefix");
@@ -1241,121 +1207,236 @@ impl DpEngine {
         bounds
     }
 
-    /// Recovers the optimal partition of the whole input into `c` pieces
-    /// with `O(n)` memory: Hirschberg-style divide-and-conquer
-    /// backtracking over [`DpEngine::fill_row_fwd`] /
-    /// [`DpEngine::fill_row_bwd`]. Requires `1 ≤ c ≤ n` and a feasible
-    /// reduction (`c ≥ cmin`), which the public entry points establish.
-    pub(crate) fn dnc_boundaries(&self, c: usize) -> Result<DncOutcome, CoreError> {
-        debug_assert!(c >= 1 && c <= self.n);
+    /// The forward sweep every pass runs: rows `1..=kmax` over the whole
+    /// input into `buf.rows`, recording split points into `buf.jm` for the
+    /// first `record` rows (growing it as needed), and stopping after the
+    /// first row whose values at `n` satisfy `stop`. Returns that row, or
+    /// 0 when no row stopped the sweep.
+    // pta-lint: allow(cancel-coverage) — each row goes through
+    // DpEngine::fill_into, which polls the token once per row.
+    pub(crate) fn sweep<const R: usize, S: WindowSolver<R>>(
+        &self,
+        s: &S,
+        kmax: usize,
+        record: usize,
+        buf: &mut SweepBuf<R>,
+        tally: &mut Tally,
+        mut stop: impl FnMut([f64; R]) -> bool,
+    ) -> Result<usize, CoreError> {
         let width = self.n + 1;
-        let mut scratch = DncScratch {
-            fwd_prev: vec![f64::INFINITY; width],
-            fwd_cur: vec![f64::INFINITY; width],
-            bwd_prev: vec![f64::INFINITY; width],
-            bwd_cur: vec![f64::INFINITY; width],
-        };
-        let mut boundaries = Vec::with_capacity(c + 1);
-        boundaries.push(0);
-        let mut cells = Cells::default();
-        let mut rows = 0usize;
-        let optimal_sse = self
-            .dnc_rec(0, self.n, c, &mut boundaries, &mut scratch, &mut cells, &mut rows)
-            .map_err(|e| {
-                // The recursion's accumulators survive the abort — stamp
-                // them so callers see how far the run got.
-                e.with_dp_progress(DpStats {
-                    rows,
-                    cells: cells.total(),
-                    scan_cells: cells.scan,
-                    monge_cells: cells.monge,
-                    peak_rows: 4,
-                    mode: DpExecMode::DivideConquer,
-                    strategy: self.strategy,
-                    threads: self.pool.threads(),
-                    certified_ratio: 1.0,
-                })
-            })?;
-        boundaries.push(self.n);
-        debug_assert_eq!(boundaries.len(), c + 1);
-        Ok(DncOutcome { boundaries, cells, rows, optimal_sse })
+        buf.rows.reset(0, self.n);
+        for k in 1..=kmax {
+            let jrow = if k <= record {
+                if buf.jm.len() < k * width {
+                    buf.jm.resize(k * width, 0);
+                }
+                Some(&mut buf.jm[(k - 1) * width..k * width])
+            } else {
+                None
+            };
+            let cells = self
+                .fill_row::<false, R, S>(s, k, 0..self.n, &mut buf.rows, jrow)
+                .map_err(|e| {
+                    self.stamp::<R, S>(e, tally, buf.jm.len() / width + 2 * R, DpExecMode::Table)
+                })?;
+            tally.cells += cells;
+            tally.rows += 1;
+            if stop(buf.rows.at(self.n)) {
+                return Ok(k);
+            }
+        }
+        Ok(0)
     }
 
-    /// Appends the internal cut positions of the optimal `c`-piece
-    /// partition of tuples `lo..hi` to `cuts` (in increasing order) and
-    /// returns that partition's SSE.
-    #[allow(clippy::too_many_arguments)]
-    // pta-lint: allow(cancel-coverage) — every row fill in the recursion
-    // polls the token inside fill_row_fwd/fill_row_bwd.
-    fn dnc_rec(
+    /// `PTAc` in either mode: the materialized table (`c + 2R` rows) or
+    /// divide and conquer (`4R` rows).
+    pub(crate) fn size_pass<const R: usize, S: WindowSolver<R>>(
         &self,
+        s: &S,
+        c: usize,
+        table: bool,
+        buf: &mut SweepBuf<R>,
+        tally: &mut Tally,
+    ) -> Result<Pass<R>, CoreError> {
+        if !table {
+            return self.dnc_pass(s, c, 4 * R, tally);
+        }
+        if buf.jm.len() < c * (self.n + 1) {
+            buf.jm = vec![0; c * (self.n + 1)];
+        }
+        self.sweep(s, c, c, buf, tally, |_| false)?;
+        Ok(Pass {
+            boundaries: self.backtrack(&buf.jm, c),
+            values: buf.rows.at(self.n),
+            peak: c + 2 * R,
+            mode: DpExecMode::Table,
+        })
+    }
+
+    /// `PTAε` (Fig. 8): rows until the first value row satisfies
+    /// `threshold` at `n`. Split-point rows are recorded while within
+    /// `row_budget`; a satisfying row beyond it is recovered by divide and
+    /// conquer after the search table is freed. The pass values are the
+    /// satisfying row's.
+    pub(crate) fn error_pass<const R: usize, S: WindowSolver<R>>(
+        &self,
+        s: &S,
+        threshold: f64,
+        row_budget: usize,
+        buf: &mut SweepBuf<R>,
+        tally: &mut Tally,
+    ) -> Result<Pass<R>, CoreError> {
+        buf.jm.clear();
+        let found = self.sweep(s, self.n, row_budget, buf, tally, |v| v[0] <= threshold)?;
+        // With finite inputs E[n][n] = 0 satisfies every valid threshold,
+        // so this is reachable only when a non-finite value poisoned the
+        // threshold or the rows.
+        if found == 0 {
+            return Err(CoreError::non_finite_data(
+                "error-bounded DP finished without any row satisfying the bound",
+            ));
+        }
+        let values = buf.rows.at(self.n);
+        let peak = found.min(row_budget) + 2 * R;
+        if found <= row_budget {
+            let boundaries = self.backtrack(&buf.jm, found);
+            return Ok(Pass { boundaries, values, peak, mode: DpExecMode::Table });
+        }
+        buf.jm = Vec::new();
+        Ok(Pass { values, ..self.dnc_pass(s, found, peak.max(4 * R), tally)? })
+    }
+
+    /// Recovers a `c`-piece partition of the whole input with `O(n)`
+    /// memory: Hirschberg-style divide and conquer over forward and
+    /// mirrored rows. Requires `1 ≤ c ≤ n` and `c ≥ cmin`.
+    pub(crate) fn dnc_pass<const R: usize, S: WindowSolver<R>>(
+        &self,
+        s: &S,
+        c: usize,
+        peak: usize,
+        tally: &mut Tally,
+    ) -> Result<Pass<R>, CoreError> {
+        debug_assert!(c >= 1 && c <= self.n);
+        let width = self.n + 1;
+        let mut st = DncState {
+            cuts: Vec::with_capacity(c + 1),
+            fwd: RowPair::new(width),
+            bwd: RowPair::new(width),
+            tally: *tally,
+        };
+        st.cuts.push(0);
+        let res = self.dnc(s, 0, self.n, c, &mut st);
+        *tally = st.tally;
+        let values =
+            res.map_err(|e| self.stamp::<R, S>(e, tally, peak, DpExecMode::DivideConquer))?;
+        st.cuts.push(self.n);
+        debug_assert_eq!(st.cuts.len(), c + 1);
+        Ok(Pass { boundaries: st.cuts, values, peak, mode: DpExecMode::DivideConquer })
+    }
+
+    /// Appends the internal cuts of a `c`-piece partition of tuples
+    /// `lo..hi` to the state's cuts (in increasing order) and returns the
+    /// node's midpoint minima — for `c = 1` the single range SSE.
+    fn dnc<const R: usize, S: WindowSolver<R>>(
+        &self,
+        s: &S,
         lo: usize,
         hi: usize,
         c: usize,
-        cuts: &mut Vec<usize>,
-        scratch: &mut DncScratch,
-        cells: &mut Cells,
-        rows: &mut usize,
-    ) -> Result<f64, CoreError> {
+        st: &mut DncState<R>,
+    ) -> Result<[f64; R], CoreError> {
         debug_assert!(c >= 1 && hi - lo >= c);
         if c == 1 {
-            return Ok(self.cost(lo, hi));
+            return Ok([self.cost::<false>(lo, hi); R]);
         }
         if hi - lo == c {
             // Every tuple its own piece: all cuts are forced, SSE 0.
-            cuts.extend(lo + 1..hi);
-            return Ok(0.0);
+            st.cuts.extend(lo + 1..hi);
+            return Ok([0.0; R]);
         }
         let k_left = c / 2;
-        let k_right = c - k_left;
-        // A previous node left stale values in the scratch rows; reset the
-        // window once per node, then the row fills reset only their own
-        // (shrinking) windows.
-        scratch.fwd_prev[lo..=hi].fill(f64::INFINITY);
-        scratch.fwd_cur[lo..=hi].fill(f64::INFINITY);
-        scratch.bwd_prev[lo..=hi].fill(f64::INFINITY);
-        scratch.bwd_cur[lo..=hi].fill(f64::INFINITY);
-        // Forward DP to row k_left over [lo, hi]; fwd_prev ends holding
-        // F[k_left][·] = optimal SSE of `lo..i` in k_left pieces.
-        for k in 1..=k_left {
-            *cells +=
-                self.fill_row_fwd(k, lo, hi, &scratch.fwd_prev, &mut scratch.fwd_cur, None)?;
-            std::mem::swap(&mut scratch.fwd_prev, &mut scratch.fwd_cur);
-        }
-        // Suffix DP to row k_right; bwd_prev ends holding
-        // B[k_right][·] = optimal SSE of `i..hi` in k_right pieces.
-        for k in 1..=k_right {
-            *cells += self.fill_row_bwd(k, lo, hi, &scratch.bwd_prev, &mut scratch.bwd_cur)?;
-            std::mem::swap(&mut scratch.bwd_prev, &mut scratch.bwd_cur);
-        }
-        *rows += c;
-        // The optimal partition cuts after its k_left-th piece at the
-        // midpoint minimizing F + B.
-        let mut best = f64::INFINITY;
-        let mut mid = 0usize;
-        for i in (lo + k_left)..=(hi - k_right) {
-            let total = scratch.fwd_prev[i] + scratch.bwd_prev[i];
-            if total < best {
-                best = total;
-                mid = i;
+        let (mut best, mut mid) = self.dnc_node(s, lo, hi, k_left, c - k_left, st)?;
+        if !best[0].is_finite() {
+            // A sparse solver can miss a feasible midpoint range narrower
+            // than one stride; redo just this node's rows with the finer
+            // solver — the children still recurse with `s`.
+            if let Some(fine) = s.refined() {
+                (best, mid) = self.dnc_node(&fine, lo, hi, k_left, c - k_left, st)?;
             }
         }
-        debug_assert!(best.is_finite(), "feasible subproblem must yield a finite midpoint");
-        // The children overwrite the scratch rows; the parent only needs
-        // `mid` from here on, so peak memory stays at four rows.
-        self.dnc_rec(lo, mid, k_left, cuts, scratch, cells, rows)?;
-        cuts.push(mid);
-        self.dnc_rec(mid, hi, k_right, cuts, scratch, cells, rows)?;
+        debug_assert!(best[0].is_finite(), "feasible subproblem must yield a finite midpoint");
+        // The children overwrite the scratch rows; this node only needs
+        // `mid` from here on, so peak memory stays at 4R rows.
+        self.dnc(s, lo, mid, k_left, st)?;
+        st.cuts.push(mid);
+        self.dnc(s, mid, hi, c - k_left, st)?;
         Ok(best)
+    }
+
+    /// One node's row fills and midpoint scan: `k_left` forward rows over
+    /// `lo..hi` and `k_right` mirrored rows over the same tuples, then the
+    /// midpoint `i` minimizing `F[i] + B[i]` in value row 0 (first on
+    /// ties) and the per-row minima.
+    // pta-lint: allow(cancel-coverage) — every row fill in the recursion
+    // polls the token inside fill_into.
+    fn dnc_node<const R: usize, S: WindowSolver<R>>(
+        &self,
+        s: &S,
+        lo: usize,
+        hi: usize,
+        k_left: usize,
+        k_right: usize,
+        st: &mut DncState<R>,
+    ) -> Result<([f64; R], usize), CoreError> {
+        let n = self.n;
+        st.fwd.reset(lo, hi);
+        st.bwd.reset(n - hi, n - lo);
+        for k in 1..=k_left {
+            st.tally.cells += self.fill_row::<false, R, S>(s, k, lo..hi, &mut st.fwd, None)?;
+        }
+        for k in 1..=k_right {
+            st.tally.cells +=
+                self.fill_row::<true, R, S>(s, k, n - hi..n - lo, &mut st.bwd, None)?;
+        }
+        st.tally.rows += k_left + k_right;
+        let mut best = [f64::INFINITY; R];
+        let mut mid = 0;
+        for i in (lo + k_left)..=(hi - k_right) {
+            let (f, b) = (st.fwd.at(i), st.bwd.at(n - i));
+            for r in 0..R {
+                let total = f[r] + b[r];
+                if total < best[r] {
+                    best[r] = total;
+                    if r == 0 {
+                        mid = i;
+                    }
+                }
+            }
+        }
+        Ok((best, mid))
     }
 }
 
-/// Support for the `dp_row` microbenchmark: a single forward row fill
-/// over a prebuilt engine. Hidden — not a public API and exempt from
-/// semver hygiene.
+/// Support for the benches: a single forward row fill over a prebuilt
+/// engine (`dp_row`, `parallel`) and the early-break ablation target.
+/// Hidden — not a public API and exempt from semver hygiene.
 #[doc(hidden)]
 pub mod bench_support {
     use super::*;
+
+    /// `PTAc` without the Jagadish early break — the ablation bench's
+    /// target; always produces the same reduction, strictly more slowly
+    /// on most data. Pins [`DpStrategy::Scan`]: the early break is a
+    /// scan-path acceleration, so the ablation holds the row minimizer
+    /// fixed.
+    pub fn size_bounded_no_early_break(
+        input: &SequentialRelation,
+        weights: &Weights,
+        c: usize,
+    ) -> Result<DpOutcome, CoreError> {
+        let opts = DpOptions::default().with_strategy(DpStrategy::Scan);
+        size_bounded::run(input, weights, c, true, &opts, false)
+    }
 
     /// One-row-fill harness over a prebuilt DP engine.
     pub struct RowFill {
@@ -1382,25 +1463,16 @@ pub mod bench_support {
             strategy: DpStrategy,
             threads: usize,
         ) -> Result<Self, CoreError> {
-            Ok(Self {
-                engine: DpEngine::new_full(
-                    input,
-                    weights,
-                    true,
-                    GapPolicy::Strict,
-                    true,
-                    strategy,
-                    threads,
-                )?,
-            })
+            let opts = DpOptions::default().with_strategy(strategy).with_threads(threads);
+            Ok(Self { engine: DpEngine::new(input, weights, &opts, true, true)? })
         }
 
         /// Arms the harness with a cancellation token — the `bench_dp`
         /// cancellation-overhead gate fills rows under a far-future
         /// deadline token that never fires and compares against the
         /// inert default.
-        pub fn with_cancel(mut self, cancel: crate::cancel::CancelToken) -> Self {
-            self.engine = self.engine.with_cancel(cancel);
+        pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
+            self.engine.cancel = cancel;
             self
         }
 
@@ -1414,30 +1486,28 @@ pub mod bench_support {
         // pta-lint: allow(cancel-coverage) — bench harness: the engine's
         // token is inert by construction, rows are filled uncancellably.
         pub fn row(&self, k: usize) -> Vec<f64> {
-            let mut prev = vec![f64::INFINITY; self.width()];
-            let mut cur = vec![f64::INFINITY; self.width()];
+            let mut rows = RowPair::<1>::new(self.width());
             for kk in 1..=k {
                 self.engine
-                    .fill_row_fwd(kk, 0, self.engine.n, &prev, &mut cur, None)
+                    .fill_row::<false, 1, Exact>(&Exact, kk, 0..self.engine.n, &mut rows, None)
                     // pta-lint: allow(no-panic-in-lib) — harness token is inert.
                     .expect("bench harness tokens never fire");
-                std::mem::swap(&mut prev, &mut cur);
             }
-            prev
+            let [row] = rows.prev;
+            row
         }
 
         /// Fills row `k` reading row `k − 1` from `prev`; returns the
         /// split-point evaluation count.
         pub fn fill(&self, k: usize, prev: &[f64], cur: &mut [f64]) -> u64 {
             self.engine
-                .fill_row_fwd(k, 0, self.engine.n, prev, cur, None)
+                .fill_into::<false, 1, Exact>(&Exact, k, 0..self.engine.n, [prev], [cur], None)
                 // pta-lint: allow(no-panic-in-lib) — harness token is inert.
                 .expect("bench harness tokens never fire")
                 .total()
         }
     }
 }
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -1494,7 +1564,25 @@ pub(crate) mod tests {
 
     fn engine_with(input: &SequentialRelation, prune: bool, strategy: DpStrategy) -> DpEngine {
         let w = Weights::uniform(input.dims());
-        DpEngine::new_full(input, &w, prune, GapPolicy::Strict, true, strategy, 1).unwrap()
+        let opts = DpOptions::default().with_strategy(strategy).with_threads(1);
+        DpEngine::new(input, &w, &opts, prune, true).unwrap()
+    }
+
+    fn engine_threads(input: &SequentialRelation, threads: usize) -> DpEngine {
+        let w = Weights::uniform(input.dims());
+        DpEngine::new(input, &w, &DpOptions::default().with_threads(threads), true, true).unwrap()
+    }
+
+    /// Forward (`M = false`) or mirrored (`M = true`) exact row `k` over
+    /// the whole input.
+    fn row<const M: bool>(
+        engine: &DpEngine,
+        k: usize,
+        prev: &[f64],
+        cur: &mut [f64],
+        jrow: Option<&mut [usize]>,
+    ) -> Cells {
+        engine.fill_into::<M, 1, Exact>(&Exact, k, 0..engine.n, [prev], [cur], jrow).unwrap()
     }
 
     /// Fills the full error matrix (rows 1..=kmax) for tests.
@@ -1511,7 +1599,7 @@ pub(crate) mod tests {
         let mut rows = Vec::new();
         for k in 1..=kmax {
             let mut cur = vec![f64::INFINITY; n + 1];
-            engine.fill_row_fwd(k, 0, n, &prev, &mut cur, None).unwrap();
+            row::<false>(&engine, k, &prev, &mut cur, None);
             rows.push(cur.clone());
             prev = cur;
         }
@@ -1522,8 +1610,9 @@ pub(crate) mod tests {
         full_matrix_strategy(input, kmax, prune, DpStrategy::Auto)
     }
 
-    /// Fills the full *suffix* error matrix (rows 1..=kmax) for tests:
-    /// `rows[k − 1][i]` = optimal SSE of tuples `i..n` in `k` pieces.
+    /// Fills the full *suffix* error matrix (rows 1..=kmax) for tests from
+    /// mirrored rows: `rows[k − 1][i]` = optimal SSE of tuples `i..n` in
+    /// `k` pieces, read at view cell `n − i`.
     fn full_matrix_bwd_strategy(
         input: &SequentialRelation,
         kmax: usize,
@@ -1536,8 +1625,8 @@ pub(crate) mod tests {
         let mut rows = Vec::new();
         for k in 1..=kmax {
             let mut cur = vec![f64::INFINITY; n + 1];
-            engine.fill_row_bwd(k, 0, n, &prev, &mut cur).unwrap();
-            rows.push(cur.clone());
+            row::<true>(&engine, k, &prev, &mut cur, None);
+            rows.push((0..=n).map(|i| cur[n - i]).collect());
             prev = cur;
         }
         rows
@@ -1647,8 +1736,8 @@ pub(crate) mod tests {
         let mut cur_s = vec![f64::INFINITY; width];
         let mut cur_m = vec![f64::INFINITY; width];
         for k in 1..=12 {
-            let s = scan.fill_row_fwd(k, 0, n, &prev_s, &mut cur_s, None).unwrap();
-            let m = monge.fill_row_fwd(k, 0, n, &prev_m, &mut cur_m, None).unwrap();
+            let s = row::<false>(&scan, k, &prev_s, &mut cur_s, None);
+            let m = row::<false>(&monge, k, &prev_m, &mut cur_m, None);
             assert_eq!(m.monge, 0, "row {k}: no certificate, no Monge evals");
             assert_eq!(m, s, "row {k}: identical work");
             for i in 0..=n {
@@ -1681,8 +1770,8 @@ pub(crate) mod tests {
         let mut cur_s = vec![f64::INFINITY; width];
         let mut cur_m = vec![f64::INFINITY; width];
         for k in 1..=10 {
-            let s = scan.fill_row_fwd(k, 0, n, &prev_s, &mut cur_s, None).unwrap();
-            let m = monge.fill_row_fwd(k, 0, n, &prev_m, &mut cur_m, None).unwrap();
+            let s = row::<false>(&scan, k, &prev_s, &mut cur_s, None);
+            let m = row::<false>(&monge, k, &prev_m, &mut cur_m, None);
             assert_eq!(m.monge, 0, "row {k}: magnitude certificate must reject the window");
             assert_eq!(m.scan, s.scan, "row {k}");
             for i in 0..=n {
@@ -1734,8 +1823,8 @@ pub(crate) mod tests {
             for k in 1..=20 {
                 let mut js = vec![0usize; width];
                 let mut jo = vec![0usize; width];
-                scan.fill_row_fwd(k, 0, n, &prev_s, &mut cur_s, Some(&mut js)).unwrap();
-                other.fill_row_fwd(k, 0, n, &prev_o, &mut cur_o, Some(&mut jo)).unwrap();
+                row::<false>(&scan, k, &prev_s, &mut cur_s, Some(&mut js));
+                row::<false>(&other, k, &prev_o, &mut cur_o, Some(&mut jo));
                 for i in (k)..=n {
                     if cur_s[i].is_finite() {
                         assert_eq!(js[i], jo[i], "row {k} cell {i} ({strategy:?})");
@@ -1797,26 +1886,18 @@ pub(crate) mod tests {
                     prev[0] = 0.0;
                     let mut cur = vec![f64::INFINITY; width];
                     for k in 1..=c {
-                        engine
-                            .fill_row_fwd(
-                                k,
-                                0,
-                                n,
-                                &prev,
-                                &mut cur,
-                                Some(&mut jm[(k - 1) * width..k * width]),
-                            )
-                            .unwrap();
+                        let jrow = Some(&mut jm[(k - 1) * width..k * width]);
+                        row::<false>(&engine, k, &prev, &mut cur, jrow);
                         std::mem::swap(&mut prev, &mut cur);
                         cur.fill(f64::INFINITY);
                     }
                     let table = engine.backtrack(&jm, c);
-                    let dnc = engine.dnc_boundaries(c).unwrap();
+                    let dnc = engine.dnc_pass(&Exact, c, 4, &mut Tally::default()).unwrap();
                     assert_eq!(table, dnc.boundaries, "c = {c} (prune={prune}, {strategy:?})");
+                    let [optimal_sse] = dnc.values;
                     assert!(
-                        (dnc.optimal_sse - prev[n]).abs() <= 1e-9 * (1.0 + prev[n]),
-                        "c = {c}: dnc optimum {} vs table optimum {}",
-                        dnc.optimal_sse,
+                        (optimal_sse - prev[n]).abs() <= 1e-9 * (1.0 + prev[n]),
+                        "c = {c}: dnc optimum {optimal_sse} vs table optimum {}",
                         prev[n]
                     );
                 }
@@ -1862,9 +1943,8 @@ pub(crate) mod tests {
     fn naive_engine_forces_scan() {
         let input = fig1c();
         let w = Weights::uniform(1);
-        let e =
-            DpEngine::new_full(&input, &w, false, GapPolicy::Strict, true, DpStrategy::Monge, 1)
-                .unwrap();
+        let opts = DpOptions::default().with_strategy(DpStrategy::Monge);
+        let e = DpEngine::new(&input, &w, &opts, false, true).unwrap();
         assert_eq!(e.strategy, DpStrategy::Scan);
     }
 
@@ -1880,11 +1960,11 @@ pub(crate) mod tests {
         let mut prev = vec![f64::INFINITY; width];
         let mut cur = vec![f64::INFINITY; width];
         // Row 2 read from the genuine row 1.
-        scan.fill_row_fwd(1, 0, n, &prev, &mut cur, None).unwrap();
+        row::<false>(&scan, 1, &prev, &mut cur, None);
         std::mem::swap(&mut prev, &mut cur);
-        let s = scan.fill_row_fwd(2, 0, n, &prev, &mut cur, None).unwrap();
+        let s = row::<false>(&scan, 2, &prev, &mut cur, None);
         let mut cur2 = vec![f64::INFINITY; width];
-        let m = monge.fill_row_fwd(2, 0, n, &prev, &mut cur2, None).unwrap();
+        let m = row::<false>(&monge, 2, &prev, &mut cur2, None);
         assert_eq!(s.monge, 0);
         assert_eq!(m.scan, 0);
         assert!(
@@ -1898,28 +1978,15 @@ pub(crate) mod tests {
 
     /// A multi-thread budget fans row fills out across chunked windows;
     /// row values, split points, and evaluation counters stay
-    /// bit-identical to the one-thread fill — forward and backward, on
+    /// bit-identical to the one-thread fill — forward and mirrored, on
     /// scan-only (wiggly) and Monge-certified (trend) data. The inputs
     /// are large enough that every row clears the fan-out work gate.
     #[test]
     fn parallel_rows_are_bit_identical_to_sequential() {
-        let w = Weights::uniform(1);
         for input in [wiggly_series(700, 41), trend_series(700, 43)] {
             let n = input.len();
-            let make = |threads| {
-                DpEngine::new_full(
-                    &input,
-                    &w,
-                    true,
-                    GapPolicy::Strict,
-                    true,
-                    DpStrategy::Auto,
-                    threads,
-                )
-                .unwrap()
-            };
-            let seq = make(1);
-            let par = make(4);
+            let seq = engine_threads(&input, 1);
+            let par = engine_threads(&input, 4);
             assert_eq!(par.pool.threads(), 4);
             let width = n + 1;
             let mut prev_s = vec![f64::INFINITY; width];
@@ -1931,8 +1998,8 @@ pub(crate) mod tests {
             for k in 1..=12 {
                 let mut js = vec![0usize; width];
                 let mut jp = vec![0usize; width];
-                let s = seq.fill_row_fwd(k, 0, n, &prev_s, &mut cur_s, Some(&mut js)).unwrap();
-                let p = par.fill_row_fwd(k, 0, n, &prev_p, &mut cur_p, Some(&mut jp)).unwrap();
+                let s = row::<false>(&seq, k, &prev_s, &mut cur_s, Some(&mut js));
+                let p = row::<false>(&par, k, &prev_p, &mut cur_p, Some(&mut jp));
                 assert_eq!(s, p, "row {k}: identical counters");
                 for i in 0..=n {
                     assert_eq!(cur_s[i].to_bits(), cur_p[i].to_bits(), "row {k} cell {i}");
@@ -1946,8 +2013,8 @@ pub(crate) mod tests {
             let mut cur_s = vec![f64::INFINITY; width];
             let mut cur_p = vec![f64::INFINITY; width];
             for k in 1..=12 {
-                let s = seq.fill_row_bwd(k, 0, n, &prev_s, &mut cur_s).unwrap();
-                let p = par.fill_row_bwd(k, 0, n, &prev_p, &mut cur_p).unwrap();
+                let s = row::<true>(&seq, k, &prev_s, &mut cur_s, None);
+                let p = row::<true>(&par, k, &prev_p, &mut cur_p, None);
                 assert_eq!(s, p, "bwd row {k}: identical counters");
                 for i in 0..=n {
                     assert_eq!(cur_s[i].to_bits(), cur_p[i].to_bits(), "bwd row {k} cell {i}");
@@ -1959,35 +2026,32 @@ pub(crate) mod tests {
     }
 
     /// The chunker tiles every window region exactly: chunk extents are
-    /// contiguous, in order, and cover the same cells under any budget.
+    /// contiguous, in order, and cover the same cells under any budget —
+    /// forward and mirrored, for both window solvers.
     #[test]
     fn chunker_tiles_rows_exactly() {
+        fn tiles<const M: bool, const R: usize, S: WindowSolver<R>>(e: &DpEngine, s: &S, k: usize) {
+            let imax = e.imax_within::<M>(k, 0, e.n);
+            let windows = e.collect_windows::<M>(k, 0, imax);
+            let work: u64 = windows.iter().map(|w| s.work(w)).sum();
+            let chunks = e.chunk_windows::<M, R, S>(s, &windows, work);
+            assert!(chunks.len() >= windows.len());
+            let mut next = k;
+            for (c, edges) in &chunks {
+                assert_eq!(c.ws, next, "k = {k}, threads = {}", e.pool.threads());
+                assert!(c.we >= c.ws && edges.0 <= c.ws && c.we <= edges.1);
+                next = c.we + 1;
+            }
+            assert_eq!(next, imax + 1, "k = {k}: chunks must end at imax");
+        }
         let input = wiggly_series(300, 7);
-        let w = Weights::uniform(1);
         for threads in [2, 3, 8] {
-            let engine = DpEngine::new_full(
-                &input,
-                &w,
-                true,
-                GapPolicy::Strict,
-                true,
-                DpStrategy::Auto,
-                threads,
-            )
-            .unwrap();
+            let engine = engine_threads(&input, threads);
             for k in [2usize, 5, 20] {
-                let imax = engine.gaps.imax_within(k, 0, engine.n);
-                let windows = engine.collect_windows_fwd(k, 0, imax);
-                let work: u64 = windows.iter().map(|w| w.work(true)).sum();
-                let chunks = engine.chunk_windows(&windows, work, true);
-                assert!(chunks.len() >= windows.len());
-                let mut next = k;
-                for c in &chunks {
-                    assert_eq!(c.ws, next, "k = {k}, threads = {threads}");
-                    assert!(c.we >= c.ws);
-                    next = c.we + 1;
-                }
-                assert_eq!(next, imax + 1, "k = {k}: chunks must end at imax");
+                tiles::<false, 1, Exact>(&engine, &Exact, k);
+                tiles::<true, 1, Exact>(&engine, &Exact, k);
+                tiles::<false, 2, approx::Grid>(&engine, &approx::Grid { stride: 3 }, k);
+                tiles::<true, 2, approx::Grid>(&engine, &approx::Grid { stride: 3 }, k);
             }
         }
     }

@@ -2,9 +2,8 @@
 
 use pta_temporal::SequentialRelation;
 
-use crate::dp::{Cells, DpEngine, DpExecMode, DpMode, DpOptions, DpOutcome, DpStats, DpStrategy};
+use crate::dp::{approx, DpEngine, DpExecMode, DpOptions, DpOutcome, Exact, SweepBuf, Tally};
 use crate::error::CoreError;
-use crate::policy::GapPolicy;
 use crate::reduction::Reduction;
 use crate::weights::Weights;
 
@@ -18,61 +17,28 @@ use crate::weights::Weights;
 /// picks between them, so no input size is rejected.
 ///
 /// Fails with [`CoreError::SizeBelowMinimum`] when `c < cmin`.
+///
+/// [`DpMode::Auto`]: crate::dp::DpMode::Auto
 pub fn size_bounded(
     input: &SequentialRelation,
     weights: &Weights,
     c: usize,
 ) -> Result<DpOutcome, CoreError> {
-    run(input, weights, c, true, DpOptions::default(), true)
+    run(input, weights, c, true, &DpOptions::default(), true)
 }
 
-/// `PTAc` under a mergeability policy — with [`GapPolicy::Tolerate`] this
-/// is the paper's §8 future-work extension: tuples separated by holes up
-/// to `max_gap` chronons may merge, lowering `cmin` and unlocking smaller
-/// results on gap-ridden data.
-pub fn size_bounded_with_policy(
-    input: &SequentialRelation,
-    weights: &Weights,
-    c: usize,
-    policy: GapPolicy,
-) -> Result<DpOutcome, CoreError> {
-    run(input, weights, c, true, DpOptions { policy, ..DpOptions::default() }, true)
-}
-
-/// `PTAc` with an explicit backtracking mode — pin [`DpMode::Table`] or
-/// [`DpMode::DivideConquer`] (the cross-mode tests do), or set a custom
-/// [`DpMode::Budget`].
-pub fn size_bounded_with_mode(
-    input: &SequentialRelation,
-    weights: &Weights,
-    c: usize,
-    mode: DpMode,
-) -> Result<DpOutcome, CoreError> {
-    run(input, weights, c, true, DpOptions { mode, ..DpOptions::default() }, true)
-}
-
-/// `PTAc` with both the mergeability policy and the backtracking mode
-/// chosen by the caller — the fully general entry point the facade uses.
+/// `PTAc` with every knob chosen by the caller: mergeability policy (with
+/// [`GapPolicy::Tolerate`] the paper's §8 gap-tolerant extension),
+/// backtracking mode, row strategy, threads and cancellation.
+///
+/// [`GapPolicy::Tolerate`]: crate::policy::GapPolicy::Tolerate
 pub fn size_bounded_with_opts(
     input: &SequentialRelation,
     weights: &Weights,
     c: usize,
     opts: DpOptions,
 ) -> Result<DpOutcome, CoreError> {
-    run(input, weights, c, true, opts, true)
-}
-
-/// `PTAc` without the Jagadish early break — ablation target only; always
-/// produces the same reduction, strictly more slowly on most data. Pins
-/// [`DpStrategy::Scan`]: the early break is a scan-path acceleration, so
-/// the ablation must hold the row minimizer fixed.
-pub fn size_bounded_no_early_break(
-    input: &SequentialRelation,
-    weights: &Weights,
-    c: usize,
-) -> Result<DpOutcome, CoreError> {
-    let opts = DpOptions { strategy: DpStrategy::Scan, ..DpOptions::default() };
-    run(input, weights, c, true, opts, false)
+    run(input, weights, c, true, &opts, true)
 }
 
 /// The unpruned "DP" baseline of Fig. 18: identical recurrence and
@@ -83,132 +49,59 @@ pub fn size_bounded_naive(
     weights: &Weights,
     c: usize,
 ) -> Result<DpOutcome, CoreError> {
-    run(input, weights, c, false, DpOptions::default(), true)
+    run(input, weights, c, false, &DpOptions::default(), true)
 }
 
-fn run(
+pub(crate) fn run(
     input: &SequentialRelation,
     weights: &Weights,
     c: usize,
     prune: bool,
-    opts: DpOptions,
+    opts: &DpOptions,
     early_break: bool,
 ) -> Result<DpOutcome, CoreError> {
     let n = input.len();
     if n == 0 {
-        return Ok(DpOutcome { reduction: Reduction::identity(input), stats: DpStats::default() });
+        return Ok(DpOutcome { reduction: Reduction::identity(input), stats: Default::default() });
     }
-    let strategy = super::approx::resolve(input, &opts, prune);
-    let engine = DpEngine::new_full(
-        input,
-        weights,
-        prune,
-        opts.policy,
-        early_break,
-        strategy,
-        opts.threads,
-    )?
-    .with_cancel(opts.cancel.clone());
+    let engine = DpEngine::new(input, weights, opts, prune, early_break)?;
     let cmin = engine.gaps.cmin();
     if c < cmin {
         return Err(CoreError::SizeBelowMinimum { requested: c, cmin });
     }
     if c >= n {
-        let stats = DpStats {
-            strategy: engine.strategy,
-            threads: engine.pool.threads(),
-            ..DpStats::default()
-        };
+        let stats = engine.stats(Tally::default(), 0, DpExecMode::Table, 1.0);
         return Ok(DpOutcome { reduction: Reduction::identity(input), stats });
     }
-    // A positive ε dispatches to the sparsified bracket DP; ε ≤ 0 falls
-    // through to the exact machinery below, which an Approx-labeled
-    // engine traverses bit-identically to Scan (`certified_ratio` stays
-    // at its exact default of 1.0).
-    if let DpStrategy::Approx(eps) = engine.strategy {
-        if eps > 0.0 {
-            return super::approx::size_bounded_approx(input, weights, c, &engine, &opts, eps);
-        }
-    }
-
-    let (boundaries, optimum, stats) = if opts.mode.materializes_table(n, c) {
-        let width = n + 1;
-        let mut jm = vec![0usize; c * width];
-        // Both row buffers start at ∞; each row fill resets only its own
-        // window (see `fill_row_fwd`), so sparse rows cost O(window).
-        let mut prev = vec![f64::INFINITY; width];
-        let mut cur = vec![f64::INFINITY; width];
-        let mut cells = Cells::default();
-        for k in 1..=c {
-            cells += engine
-                .fill_row_fwd(k, 0, n, &prev, &mut cur, Some(&mut jm[(k - 1) * width..k * width]))
-                .map_err(|e| {
-                    // Rows 1..k − 1 completed before the abort.
-                    e.with_dp_progress(DpStats {
-                        rows: k - 1,
-                        cells: cells.total(),
-                        scan_cells: cells.scan,
-                        monge_cells: cells.monge,
-                        peak_rows: c + 2,
-                        mode: DpExecMode::Table,
-                        strategy: engine.strategy,
-                        threads: engine.pool.threads(),
-                        certified_ratio: 1.0,
-                    })
-                })?;
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        let boundaries = engine.backtrack(&jm, c);
-        let stats = DpStats {
-            rows: c,
-            cells: cells.total(),
-            scan_cells: cells.scan,
-            monge_cells: cells.monge,
-            peak_rows: c + 2,
-            mode: DpExecMode::Table,
-            strategy: engine.strategy,
-            threads: engine.pool.threads(),
-            certified_ratio: 1.0,
-        };
-        (boundaries, prev[n], stats)
-    } else {
-        // `dnc_boundaries` stamps its own partial progress on abort.
-        let out = engine.dnc_boundaries(c)?;
-        let stats = DpStats {
-            rows: out.rows,
-            cells: out.cells.total(),
-            scan_cells: out.cells.scan,
-            monge_cells: out.cells.monge,
-            peak_rows: 4,
-            mode: DpExecMode::DivideConquer,
-            strategy: engine.strategy,
-            threads: engine.pool.threads(),
-            certified_ratio: 1.0,
-        };
-        (out.boundaries, out.optimal_sse, stats)
+    let table = opts.mode.materializes_table(n, c);
+    let reduce = |b: &[usize]| {
+        Reduction::from_boundaries_with_policy(input, weights, &engine.stats, b, opts.policy)
     };
+    if let Some(eps) = engine.approx_eps() {
+        return approx::probe(&engine, eps, c, |grid, buf, tally| {
+            let pass = engine.size_pass(grid, c, table, buf, tally)?;
+            Ok((reduce(&pass.boundaries)?, pass))
+        });
+    }
+    let mut tally = Tally::default();
+    let pass = engine.size_pass(&Exact, c, table, &mut SweepBuf::new(n + 1), &mut tally)?;
+    let [optimum] = pass.values;
     debug_assert!(optimum.is_finite(), "E[c][n] must be finite when c >= cmin");
-
-    let reduction = Reduction::from_boundaries_with_policy(
-        input,
-        weights,
-        &engine.stats,
-        &boundaries,
-        opts.policy,
-    )?;
+    let reduction = reduce(&pass.boundaries)?;
     debug_assert!(
         (reduction.sse() - optimum).abs() <= 1e-6 * (1.0 + optimum),
         "reconstructed SSE {} deviates from DP optimum {}",
         reduction.sse(),
         optimum
     );
-    Ok(DpOutcome { reduction, stats })
+    Ok(DpOutcome { reduction, stats: engine.stats(tally, pass.peak, pass.mode, 1.0) })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dp::tests::fig1c;
+    use crate::dp::DpMode;
     use pta_temporal::TimeInterval;
 
     /// Example 6 / Fig. 1(d): the best reduction of the running example to
@@ -248,8 +141,20 @@ mod tests {
         let input = fig1c();
         let w = Weights::uniform(1);
         for c in 3..=6 {
-            let table = size_bounded_with_mode(&input, &w, c, DpMode::Table).unwrap();
-            let dnc = size_bounded_with_mode(&input, &w, c, DpMode::DivideConquer).unwrap();
+            let table = size_bounded_with_opts(
+                &input,
+                &w,
+                c,
+                DpOptions::default().with_mode(DpMode::Table),
+            )
+            .unwrap();
+            let dnc = size_bounded_with_opts(
+                &input,
+                &w,
+                c,
+                DpOptions::default().with_mode(DpMode::DivideConquer),
+            )
+            .unwrap();
             assert_eq!(table.stats.mode, DpExecMode::Table);
             assert_eq!(dnc.stats.mode, DpExecMode::DivideConquer);
             assert_eq!(table.stats.peak_rows, c + 2);
@@ -265,9 +170,21 @@ mod tests {
     fn budget_knob_selects_the_mode() {
         let input = fig1c();
         let w = Weights::uniform(1);
-        let forced = size_bounded_with_mode(&input, &w, 4, DpMode::Budget(8)).unwrap();
+        let forced = size_bounded_with_opts(
+            &input,
+            &w,
+            4,
+            DpOptions::default().with_mode(DpMode::Budget(8)),
+        )
+        .unwrap();
         assert_eq!(forced.stats.mode, DpExecMode::DivideConquer);
-        let roomy = size_bounded_with_mode(&input, &w, 4, DpMode::Budget(1 << 10)).unwrap();
+        let roomy = size_bounded_with_opts(
+            &input,
+            &w,
+            4,
+            DpOptions::default().with_mode(DpMode::Budget(1 << 10)),
+        )
+        .unwrap();
         assert_eq!(roomy.stats.mode, DpExecMode::Table);
         assert_eq!(forced.reduction.source_ranges(), roomy.reduction.source_ranges());
     }

@@ -44,21 +44,13 @@ pub mod summarize;
 pub mod weights;
 
 pub use cancel::CancelToken;
-pub use dp::curve::{
-    optimal_error_curve, optimal_error_curve_with_cancel, optimal_error_curve_with_strategy,
-    optimal_error_curve_with_threads,
-};
+pub use dp::curve::{optimal_error_curve, optimal_error_curve_with_cancel};
 pub use dp::error_bounded::{
-    error_bounded as pta_error_bounded, error_bounded_with_mode as pta_error_bounded_with_mode,
-    error_bounded_with_opts as pta_error_bounded_with_opts,
-    error_bounded_with_policy as pta_error_bounded_with_policy,
+    error_bounded as pta_error_bounded, error_bounded_with_opts as pta_error_bounded_with_opts,
 };
 pub use dp::size_bounded::{
     size_bounded as pta_size_bounded, size_bounded_naive as pta_size_bounded_naive,
-    size_bounded_no_early_break as pta_size_bounded_no_early_break,
-    size_bounded_with_mode as pta_size_bounded_with_mode,
     size_bounded_with_opts as pta_size_bounded_with_opts,
-    size_bounded_with_policy as pta_size_bounded_with_policy,
 };
 pub use dp::{
     max_error, max_error_with_policy, DpExecMode, DpMode, DpOptions, DpOutcome, DpStats,

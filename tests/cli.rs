@@ -1,6 +1,6 @@
 //! End-to-end tests of the `pta-cli` binary over CSV files.
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::process::{Command, Stdio};
 
 const PROJ_CSV: &str = "Empl,Proj,Sal,t_start,t_end\n\
@@ -20,7 +20,14 @@ fn run_cli(args: &[&str], stdin: &str) -> (String, String, bool) {
         .stderr(Stdio::piped())
         .spawn()
         .expect("binary built by the test harness");
-    child.stdin.as_mut().expect("piped stdin").write_all(stdin.as_bytes()).expect("write stdin");
+    // The CLI rejects bad flags before it reads stdin, so it may exit and
+    // close the pipe while the input is still being written: a broken
+    // pipe means "exited without reading", and the status and stderr
+    // below carry the verdict.
+    match child.stdin.take().expect("piped stdin").write_all(stdin.as_bytes()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => panic!("write stdin: {e}"),
+        _ => {}
+    }
     let out = child.wait_with_output().expect("cli terminates");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -153,6 +160,21 @@ fn dp_strategy_flag() {
         &["ita", "--schema", SCHEMA, "--agg", "avg:Sal", "--dp-strategy", "auto"],
         PROJ_CSV,
     );
+    assert!(!ok);
+    assert!(stderr.contains("unknown flag --dp-strategy"), "stderr: {stderr}");
+}
+
+/// A usage error arrives typed even when the CLI exits before reading a
+/// large stdin: the test harness must not mistake the closed pipe for a
+/// failure of the CLI.
+#[test]
+fn usage_error_with_unread_large_stdin() {
+    let mut csv = String::from(PROJ_CSV);
+    while csv.len() < 1 << 20 {
+        csv.push_str("John,A,800,1,4\n");
+    }
+    let (_, stderr, ok) =
+        run_cli(&["ita", "--schema", SCHEMA, "--agg", "avg:Sal", "--dp-strategy", "auto"], &csv);
     assert!(!ok);
     assert!(stderr.contains("unknown flag --dp-strategy"), "stderr: {stderr}");
 }

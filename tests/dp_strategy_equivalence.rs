@@ -16,9 +16,9 @@ mod common;
 
 use common::{random_sequential_continuous, random_sequential_trendy};
 use pta_core::{
-    gms_size_bounded, optimal_error_curve_with_strategy, pta_error_bounded_with_opts,
-    pta_size_bounded_naive, pta_size_bounded_with_opts, DpExecMode, DpMode, DpOptions, DpStrategy,
-    GapPolicy, PrefixStats, Weights,
+    gms_size_bounded, optimal_error_curve_with_cancel, pta_error_bounded_with_opts,
+    pta_size_bounded_naive, pta_size_bounded_with_opts, CancelToken, DpExecMode, DpMode, DpOptions,
+    DpStrategy, GapPolicy, PrefixStats, Weights,
 };
 use pta_temporal::{GroupKey, SequentialBuilder, SequentialRelation, TimeInterval};
 
@@ -159,9 +159,25 @@ fn error_curves_are_bit_identical_across_strategies() {
         let input = random_sequential_trendy(seed, 150, 1, 0.0, 0.0, flip);
         let w = Weights::uniform(1);
         let kmax = 60;
-        let scan = optimal_error_curve_with_strategy(&input, &w, kmax, DpStrategy::Scan).unwrap();
+        let scan = optimal_error_curve_with_cancel(
+            &input,
+            &w,
+            kmax,
+            DpStrategy::Scan,
+            0,
+            CancelToken::inert(),
+        )
+        .unwrap();
         for strategy in [DpStrategy::Monge, DpStrategy::Auto] {
-            let other = optimal_error_curve_with_strategy(&input, &w, kmax, strategy).unwrap();
+            let other = optimal_error_curve_with_cancel(
+                &input,
+                &w,
+                kmax,
+                strategy,
+                0,
+                CancelToken::inert(),
+            )
+            .unwrap();
             for k in 0..kmax {
                 assert_eq!(
                     scan[k].to_bits(),
@@ -462,11 +478,25 @@ fn approx_curve_brackets_the_exact_curve() {
         let input = random_sequential_trendy(seed, 120, 1, 0.0, 0.0, flip);
         let w = weights_for(1);
         let kmax = 50;
-        let exact = optimal_error_curve_with_strategy(&input, &w, kmax, DpStrategy::Scan).unwrap();
+        let exact = optimal_error_curve_with_cancel(
+            &input,
+            &w,
+            kmax,
+            DpStrategy::Scan,
+            0,
+            CancelToken::inert(),
+        )
+        .unwrap();
         for eps in [0.01, 0.1, 0.5] {
-            let approx =
-                optimal_error_curve_with_strategy(&input, &w, kmax, DpStrategy::Approx(eps))
-                    .unwrap();
+            let approx = optimal_error_curve_with_cancel(
+                &input,
+                &w,
+                kmax,
+                DpStrategy::Approx(eps),
+                0,
+                CancelToken::inert(),
+            )
+            .unwrap();
             assert_eq!(exact.len(), approx.len());
             for (k, (e, a)) in exact.iter().zip(&approx).enumerate() {
                 if e.is_infinite() {

@@ -15,8 +15,8 @@ mod common;
 
 use common::{fig1c, random_sequential_continuous, random_sequential_trendy};
 use pta_core::{
-    optimal_error_curve_with_threads, pta_error_bounded_with_opts, pta_size_bounded_with_opts,
-    DpMode, DpOptions, DpStrategy, GapPolicy, Weights,
+    optimal_error_curve_with_cancel, pta_error_bounded_with_opts, pta_size_bounded_with_opts,
+    CancelToken, DpMode, DpOptions, DpStrategy, GapPolicy, Weights,
 };
 use pta_temporal::SequentialRelation;
 
@@ -131,10 +131,25 @@ fn error_curves_are_bit_identical_across_thread_budgets() {
         let w = Weights::uniform(input.dims());
         let kmax = input.len() / 2;
         for strategy in STRATEGIES {
-            let seq = optimal_error_curve_with_threads(&input, &w, kmax, strategy, 1).unwrap();
+            let seq = optimal_error_curve_with_cancel(
+                &input,
+                &w,
+                kmax,
+                strategy,
+                1,
+                CancelToken::inert(),
+            )
+            .unwrap();
             for threads in [2usize, 6] {
-                let par =
-                    optimal_error_curve_with_threads(&input, &w, kmax, strategy, threads).unwrap();
+                let par = optimal_error_curve_with_cancel(
+                    &input,
+                    &w,
+                    kmax,
+                    strategy,
+                    threads,
+                    CancelToken::inert(),
+                )
+                .unwrap();
                 assert_eq!(par.len(), seq.len());
                 for k in 0..kmax {
                     assert_eq!(

@@ -2,6 +2,7 @@
 
 use pta_temporal::SequentialRelation;
 
+use crate::dp::runs::Goal;
 use crate::dp::{
     approx, max_error_over_runs, DpEngine, DpOptions, DpOutcome, Exact, SweepBuf, Tally,
 };
@@ -46,7 +47,7 @@ pub fn error_bounded_with_opts(
         return Ok(DpOutcome { reduction: Reduction::identity(input), stats: Default::default() });
     }
     let engine = DpEngine::new(input, weights, &opts, true, true)?;
-    let emax = max_error_over_runs(weights, &engine.stats, &engine.gaps, n);
+    let emax = max_error_over_runs(weights, &engine.stats, &engine.gaps);
     if !emax.is_finite() {
         return Err(CoreError::non_finite_data("maximal reduction error is not finite"));
     }
@@ -80,8 +81,12 @@ fn run_with_threshold(
         });
     }
     let mut tally = Tally::default();
-    let mut buf = SweepBuf::new(engine.n + 1);
-    let pass = engine.error_pass(&Exact, threshold, row_budget, &mut buf, &mut tally)?;
+    let pass = if engine.decomposes_error(opts.mode) {
+        engine.run_pass(Goal::Error(threshold), &mut tally)?
+    } else {
+        let mut buf = SweepBuf::new(engine.n + 1);
+        engine.error_pass(&Exact, threshold, row_budget, &mut buf, &mut tally)?
+    };
     let reduction = reduce(&pass.boundaries)?;
     Ok(DpOutcome { reduction, stats: engine.stats(tally, pass.peak, pass.mode, 1.0) })
 }

@@ -81,6 +81,65 @@
 //! reductions; on exact ties they may pick different cuts. Any
 //! [`DpStrategy`] combines with any [`DpMode`].
 //!
+//! # Run decomposition
+//!
+//! Tuples in different gap-free runs never merge (Def. 2, §5.3), so exact
+//! PTA is a *separable allocation*: give each maximal run `r` of length
+//! `L_r` some `c_r ∈ 1..=L_r` pieces with `Σ c_r = c`, minimizing
+//! `Σ E_r(c_r)`, where `E_r` is the run's own error curve. The row sweep
+//! only uses the gaps to prune its rows, and each of its rows still walks
+//! the whole input; on gap-rich data most runs are a few tuples long, and
+//! the run path (the private `runs` module) solves them one at a time:
+//!
+//! 1. **Curves.** Each run of at least two tuples fills forward rows
+//!    over its own span through the one row skeleton (so Monge windows,
+//!    cancel polls, the `dp.fill_row` failpoint and the counters all
+//!    apply), against the global [`PrefixStats`] so range SSEs keep their
+//!    bits. Row `k` at the span's end is `E_r(k)`. `PTAc` fills
+//!    `min(L_r, c − cmin + 1)` rows per run, `PTAε` all `L_r`.
+//! 2. **Merge.** A min-plus fold of the curves in "extra pieces" space
+//!    `d = c − cmin` gives `F(d)`, the least total error with `d` pieces
+//!    beyond one per run. `PTAε` takes the smallest `d` with
+//!    `F(d) ≤ threshold` (the threshold the sweep uses).
+//! 3. **Allocation.** Hirschberg's scheme over the run list: a node folds
+//!    its left and right halves up to its target, keeps the split with the
+//!    least sum and recurses, so no `#runs × c` table is ever built.
+//! 4. **Cuts.** Each run's cuts for its `c_r` come from divide-and-conquer
+//!    recovery ([`DpEngine::dnc`]) over the run's span.
+//!
+//! The reported SSE is, as on every path, the left-to-right re-sum of the
+//! final boundaries, so it is bit-identical to the sweep's whenever the
+//! boundaries agree.
+//!
+//! **Selection.** No option selects the run path; the input does.
+//! [`DpMode::Auto`] and [`DpMode::Budget`] take it exactly where they
+//! would not materialize the table anyway, the DP is exact and pruned
+//! (`Approx(ε > 0)` and the naive baseline keep the sweep), and there are
+//! at least two runs (`cmin ≥ 2`): for `PTAc` when the `c × (n + 1)`
+//! table does not fit, for `PTAε` when the `n × (n + 1)` table does not
+//! fit *and* no run is longer than `cmin` — the answer has at least
+//! `cmin` pieces, so then no run fills more rows than the sweep would.
+//! Explicit [`DpMode::Table`] / [`DpMode::DivideConquer`] and single-run
+//! inputs run the row sweep, which stays the reference the run path is
+//! tested against.
+//!
+//! **Memory.** At most four `(n + 1)`-entry rows live at once, and a
+//! run-path pass reports `peak_rows = 4` and [`DpExecMode::DivideConquer`]:
+//! the curves phase holds the row pair and the curves (`Σ` depths `≤ n`
+//! entries); the merge phase the curves, two half-folds (`≤ n − cmin + 2`
+//! entries together) and their scratch row; the cut phase the four
+//! divide-and-conquer rows, after the other buffers are dropped. The
+//! per-run allocation vector is bookkeeping, like the cuts. Min-plus
+//! candidate evaluations count as `scan_cells` (see [`DpStats`]).
+//!
+//! **Tie rule.** Where allocations tie on their computed sums, every node
+//! of the allocation recursion keeps the smallest left share, so extra
+//! pieces land in the latest runs (as the table's backtrack, preferring
+//! the largest split point, tends to); within a run the cuts follow
+//! divide-and-conquer recovery (the first minimizing midpoint). The
+//! `run_decomposition` test suite pins the resulting boundaries on
+//! tie-heavy data.
+//!
 //! [`size_bounded`] implements `PTAc` (Fig. 7), [`error_bounded`]
 //! implements `PTAε` (Fig. 8), and [`curve`] produces whole error-vs-size
 //! curves. The *naive DP* baseline of Fig. 18 (recurrence + constant-time
@@ -90,6 +149,7 @@ pub mod approx;
 pub mod curve;
 pub mod error_bounded;
 pub mod monge;
+mod runs;
 pub mod size_bounded;
 
 use std::ops::Range;
@@ -244,21 +304,28 @@ impl DpOptions {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpStats {
     /// Number of matrix rows filled (`k` values), counting divide-and-
-    /// conquer re-fills.
+    /// conquer re-fills. On the run-decomposed path: every per-run curve
+    /// row plus every row of the per-run cut recovery.
     pub rows: usize,
     /// Number of inner-loop split-point evaluations
-    /// (`scan_cells + monge_cells`).
+    /// (`scan_cells + monge_cells`); on the run-decomposed path this
+    /// includes the min-plus candidates of the curve merges.
     pub cells: u64,
     /// Split-point evaluations performed by the quadratic scan (including
-    /// linear `k = 1` rows and forced-split cells).
+    /// linear `k = 1` rows and forced-split cells), plus, on the
+    /// run-decomposed path, every min-plus candidate `F(d − x) + E_r(x)`
+    /// of the curve merges and every split a merge node scans.
     pub scan_cells: u64,
     /// Cost-oracle evaluations performed by the Monge row-minima engine.
     pub monge_cells: u64,
     /// Peak number of `(n + 1)`-entry rows simultaneously allocated
     /// (error rows plus recorded split-point rows). `c + 2` for the
-    /// materialized table; a small constant for divide and conquer.
+    /// materialized table; a small constant for divide and conquer; 4 on
+    /// the run-decomposed path (see the [module docs](self)).
     pub peak_rows: usize,
-    /// Which backtracking mode actually ran.
+    /// Which backtracking mode actually ran. The run-decomposed path
+    /// reports [`DpExecMode::DivideConquer`]: it records no split-point
+    /// table and recovers each run's cuts by divide and conquer.
     pub mode: DpExecMode,
     /// The row minimization strategy the run was asked for (the naive DP
     /// baseline always records [`DpStrategy::Scan`]).
@@ -589,6 +656,16 @@ struct DncState<const R: usize> {
     tally: Tally,
 }
 
+impl<const R: usize> DncState<R> {
+    /// Fresh state for a `pieces`-piece partition of `width − 1` tuples:
+    /// the cuts hold the leading `0`.
+    fn new(width: usize, pieces: usize, tally: Tally) -> Self {
+        let mut cuts = Vec::with_capacity(pieces + 1);
+        cuts.push(0);
+        Self { cuts, fwd: RowPair::new(width), bwd: RowPair::new(width), tally }
+    }
+}
+
 /// The largest possible reduction error `SSE_max = SSE(s, ρ(s, cmin))`:
 /// every maximal adjacent run merged into a single tuple. Error-bounded
 /// PTA expresses its threshold relative to this value (Def. 7).
@@ -606,24 +683,14 @@ pub fn max_error_with_policy(
     weights.check_dims(input.dims())?;
     let stats = PrefixStats::build(input);
     let gaps = GapVector::build_with_policy(input, policy);
-    Ok(max_error_over_runs(weights, &stats, &gaps, input.len()))
+    Ok(max_error_over_runs(weights, &stats, &gaps))
 }
 
 /// Sum of per-run SSEs where runs are delimited by the gap vector.
-pub(crate) fn max_error_over_runs(
-    weights: &Weights,
-    stats: &PrefixStats,
-    gaps: &GapVector,
-    n: usize,
-) -> f64 {
+pub(crate) fn max_error_over_runs(weights: &Weights, stats: &PrefixStats, gaps: &GapVector) -> f64 {
     let mut total = 0.0;
-    let mut start = 0usize;
-    for &g in gaps.breaks() {
-        total += stats.range_sse(weights, start..g);
-        start = g;
-    }
-    if n > 0 {
-        total += stats.range_sse(weights, start..n);
+    for run in gaps.runs() {
+        total += stats.range_sse(weights, run);
     }
     total
 }
@@ -1317,14 +1384,7 @@ impl DpEngine {
         tally: &mut Tally,
     ) -> Result<Pass<R>, CoreError> {
         debug_assert!(c >= 1 && c <= self.n);
-        let width = self.n + 1;
-        let mut st = DncState {
-            cuts: Vec::with_capacity(c + 1),
-            fwd: RowPair::new(width),
-            bwd: RowPair::new(width),
-            tally: *tally,
-        };
-        st.cuts.push(0);
+        let mut st = DncState::new(self.n + 1, c, *tally);
         let res = self.dnc(s, 0, self.n, c, &mut st);
         *tally = st.tally;
         let values =

@@ -2,6 +2,7 @@
 
 use pta_temporal::SequentialRelation;
 
+use crate::dp::runs::Goal;
 use crate::dp::{approx, DpEngine, DpExecMode, DpOptions, DpOutcome, Exact, SweepBuf, Tally};
 use crate::error::CoreError;
 use crate::reduction::Reduction;
@@ -84,7 +85,11 @@ pub(crate) fn run(
         });
     }
     let mut tally = Tally::default();
-    let pass = engine.size_pass(&Exact, c, table, &mut SweepBuf::new(n + 1), &mut tally)?;
+    let pass = if engine.decomposes_size(opts.mode, c) {
+        engine.run_pass(Goal::Size(c), &mut tally)?
+    } else {
+        engine.size_pass(&Exact, c, table, &mut SweepBuf::new(n + 1), &mut tally)?
+    };
     let [optimum] = pass.values;
     debug_assert!(optimum.is_finite(), "E[c][n] must be finite when c >= cmin");
     let reduction = reduce(&pass.boundaries)?;

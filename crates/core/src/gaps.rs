@@ -56,6 +56,13 @@ impl GapVector {
         &self.breaks
     }
 
+    /// The maximal gap-free runs as tuple ranges `lo..hi`, in order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let starts = std::iter::once(0).chain(self.breaks.iter().copied());
+        let ends = self.breaks.iter().copied().chain(std::iter::once(self.n));
+        starts.zip(ends).map(|(lo, hi)| lo..hi).filter(|r| !r.is_empty())
+    }
+
     /// The smallest reachable reduction size `cmin = |G| + 1` (0 when the
     /// relation is empty).
     pub fn cmin(&self) -> usize {

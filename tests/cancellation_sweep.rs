@@ -26,7 +26,7 @@ use pta_core::{
     CoreError, DpMode, DpOptions, DpStrategy, GapPolicy, Weights,
 };
 
-const MODES: [DpMode; 2] = [DpMode::Table, DpMode::DivideConquer];
+const MODES: [DpMode; 3] = [DpMode::Table, DpMode::DivideConquer, DpMode::Budget(0)];
 // Approx rides along so the sweep covers the sparsified bracket row
 // loops (probe schedule, run building, chunked solves) check-by-check.
 const STRATEGIES: [DpStrategy; 3] = [DpStrategy::Scan, DpStrategy::Monge, DpStrategy::Approx(0.1)];

@@ -8,7 +8,8 @@
 //! * `csv.chunk` — a chunk parse fails: the strict reader surfaces one
 //!   typed [`TemporalError`], the lenient reader's chunks all pass
 //!   through the site;
-//! * `dp.fill_row` — a row fill fails inside the exact DP: the facade
+//! * `dp.fill_row` — a row fill fails inside the exact DP (the row sweep,
+//!   or a per-run curve fill of the run-decomposed path): the facade
 //!   query returns the typed [`CoreError::Panic`] and a retry is
 //!   bit-identical to a clean run;
 //! * `comparator.method.<name>` — one summarizer crashes inside the
@@ -34,8 +35,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 
-use pta::{Agg, Bound, Comparator, Error, PtaQuery};
-use pta_core::CoreError;
+use pta::{Agg, Bound, Comparator, Error, ExecutionStats, PtaQuery};
+use pta_core::{CoreError, DpExecMode, DpMode};
 use pta_datasets::proj_relation;
 use pta_failpoints as fail;
 use pta_pool::Pool;
@@ -191,6 +192,55 @@ fn dp_fill_row_fault_is_typed_through_the_facade_and_a_retry_is_clean() {
     // Count spent: a retry reproduces the clean run bit-identically.
     let again = query().execute(&proj_relation()).unwrap();
     assert_eq!(again.reduction.len(), baseline.reduction.len());
+    assert_eq!(again.reduction.sse().to_bits(), baseline.reduction.sse().to_bits());
+}
+
+/// The same seam on the run-decomposed DP: `Budget(0)` sends a
+/// multi-run relation down the run path, whose first row fill is a
+/// per-run curve fill. The fault surfaces typed through the facade, and
+/// the retry reproduces the clean run bit for bit.
+#[test]
+fn dp_fill_row_fault_in_a_run_curve_is_typed_and_a_retry_is_clean() {
+    let _guard = serial();
+    let _clean = CleanRegistry::new();
+    // Three groups of ten rows; every third row leaves a hole, so each
+    // group splits into several gap-free runs.
+    let mut text = String::from("G,V,t_start,t_end\n");
+    for g in 0..3 {
+        let mut t = 0;
+        for i in 0..10 {
+            let len = 1 + (i + g) % 3;
+            text.push_str(&format!("g{g},{},{t},{}\n", 100 + (7 * i + 13 * g) % 50, t + len - 1));
+            t += len + usize::from(i % 3 == 2);
+        }
+    }
+    let relation = read_relation_str(parse_schema("G:str,V:int").unwrap(), &text, 1).unwrap();
+    let query = || {
+        PtaQuery::new()
+            .group_by(&["G"])
+            .aggregate(Agg::avg("V").as_output("AvgV"))
+            .dp_mode(DpMode::Budget(0))
+            .threads(1)
+            .bound(Bound::Size(14))
+    };
+    let baseline = query().execute(&relation).unwrap();
+    assert_eq!(baseline.reduction.len(), 14);
+    match &baseline.stats {
+        ExecutionStats::Exact(s) => {
+            assert_eq!(s.mode, DpExecMode::DivideConquer);
+            assert!(s.peak_rows <= 4, "peak rows {}", s.peak_rows);
+        }
+        other => panic!("expected exact stats, got {other:?}"),
+    }
+    fail::cfg("dp.fill_row", "1*return(injected run-curve fault)").unwrap();
+    match query().execute(&relation).unwrap_err() {
+        Error::Core(CoreError::Panic { message }) => {
+            assert!(message.contains("injected run-curve fault"), "fault message lost: {message}")
+        }
+        other => panic!("expected a typed core error, got {other:?}"),
+    }
+    let again = query().execute(&relation).unwrap();
+    assert_eq!(again.reduction.source_ranges(), baseline.reduction.source_ranges());
     assert_eq!(again.reduction.sse().to_bits(), baseline.reduction.sse().to_bits());
 }
 

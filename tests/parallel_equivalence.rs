@@ -20,7 +20,7 @@ use pta_core::{
 };
 use pta_temporal::SequentialRelation;
 
-const MODES: [DpMode; 2] = [DpMode::Table, DpMode::DivideConquer];
+const MODES: [DpMode; 3] = [DpMode::Table, DpMode::DivideConquer, DpMode::Budget(0)];
 const STRATEGIES: [DpStrategy; 2] = [DpStrategy::Scan, DpStrategy::Monge];
 
 fn opts(mode: DpMode, strategy: DpStrategy, threads: usize) -> DpOptions {

@@ -1,13 +1,6 @@
 //! `pta-analyzer` — a self-contained workspace lint engine that enforces
 //! the PTA codebase's *own* invariants, the ones `clippy` cannot know:
 //!
-//! * **no-panic-in-lib** — `unwrap`/`expect`/`panic!`/`unreachable!`/
-//!   `todo!`/`unimplemented!` are forbidden in library code (tests, bins,
-//!   benches, and examples are exempt); violations convert to typed
-//!   errors or carry an inline waiver.
-//! * **pool-only-concurrency** — `std::thread::spawn`/`scope` are
-//!   forbidden outside `pta-pool`: raw threads bypass the `in_worker`
-//!   nesting guard and the `catch_unwind` panic isolation.
 //! * **cancel-coverage** — row/merge loops in `dp/` and `greedy/` must
 //!   poll the `CancelToken`, or deadlines silently stop working.
 //! * **deadline-coverage** — request-handler functions in `crates/serve`
@@ -17,7 +10,9 @@
 //!   exactly once in `FAILPOINT_SITES` and is exercised by
 //!   `tests/fault_injection.rs`.
 //! * **float-eq** — `==`/`!=` against float operands in `pta-core`
-//!   kernels requires an explicit waiver.
+//!   kernels requires an explicit waiver (`clippy::float_cmp` cannot
+//!   take this over: it skips comparisons against zero and functions
+//!   whose names contain `eq`).
 //! * **manifest-discipline** — member crates inherit workspace lints and
 //!   never path-depend on `crates/shims/*` directly.
 //! * **bench-schema** — `BENCH_dp.json` records carry the required keys
@@ -27,9 +22,18 @@
 //! an unused waiver is an `unused-waiver` finding and a malformed one is
 //! a `waiver-syntax` finding, so they cannot rot.
 //!
+//! Two invariants that clippy *can* check live in the toolchain instead:
+//! typed errors in library code (`clippy::{unwrap_used, expect_used,
+//! panic, unreachable, todo, unimplemented}`, run by `cargo lint-lib`)
+//! and pool-only concurrency (`disallowed-methods` in `clippy.toml`).
+//! Their waivers are `#[expect(clippy::<lint>, reason = "...")]`
+//! attributes, which rustc reports once they suppress nothing.
+//!
 //! The engine is offline and dependency-free: a hand-rolled lexer
 //! ([`lexer`]), a `#[cfg(test)]`/`#[test]` tracker ([`scope`]), and rule
-//! passes ([`rules`]) over every workspace `.rs` file and `Cargo.toml`.
+//! passes ([`rules`]) over every `.rs` file and `Cargo.toml` of the cargo
+//! workspace — directories holding a nested workspace of their own are
+//! not part of it and are skipped.
 
 pub mod json;
 pub mod lexer;
@@ -53,7 +57,7 @@ pub struct Finding {
     pub line: u32,
     /// 1-based column (chars).
     pub col: u32,
-    /// Rule identifier (`no-panic-in-lib`, ...).
+    /// Rule identifier (`float-eq`, ...).
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
@@ -63,18 +67,6 @@ impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}:{} {} {}", self.file, self.line, self.col, self.rule, self.message)
     }
-}
-
-/// How a file's path classifies it for exemption purposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileRole {
-    /// Library code — the full rule set applies.
-    Lib,
-    /// Binary targets (`src/bin/`, `src/main.rs`) — panics allowed.
-    Bin,
-    /// Tests, benches, examples — panics allowed, spawns allowed in
-    /// `tests/`.
-    TestLike,
 }
 
 /// One lexed and pre-analyzed `.rs` file.
@@ -94,8 +86,6 @@ pub struct RsFile {
     pub waivers: Vec<Waiver>,
     /// Malformed waivers.
     pub bad_waivers: Vec<BadWaiver>,
-    /// Path-derived exemption class.
-    pub role: FileRole,
 }
 
 impl RsFile {
@@ -105,25 +95,12 @@ impl RsFile {
         let test_spans = scope::test_spans(&tokens);
         let fns = scope::functions(&tokens);
         let (waivers, bad_waivers) = waiver::waivers(&tokens);
-        let role = role_of(&rel);
-        Self { rel, text, tokens, test_spans, fns, waivers, bad_waivers, role }
+        Self { rel, text, tokens, test_spans, fns, waivers, bad_waivers }
     }
 
     /// True when token index `i` lies in test-only code.
     pub fn in_test(&self, i: usize) -> bool {
         self.test_spans.iter().any(|s| s.contains(i))
-    }
-}
-
-fn role_of(rel: &str) -> FileRole {
-    let parts: Vec<&str> = rel.split('/').collect();
-    let in_dir = |d: &str| parts.iter().rev().skip(1).any(|p| *p == d);
-    if in_dir("tests") || in_dir("benches") || in_dir("examples") {
-        FileRole::TestLike
-    } else if rel.ends_with("src/main.rs") || rel.contains("src/bin/") {
-        FileRole::Bin
-    } else {
-        FileRole::Lib
     }
 }
 
@@ -141,7 +118,8 @@ pub struct ManifestFile {
 pub struct Workspace {
     /// The analyzed root directory.
     pub root: PathBuf,
-    /// Every workspace `.rs` file (excluding `target/` and fixture dirs).
+    /// Every workspace `.rs` file (excluding `target/`, fixture dirs, and
+    /// nested workspaces).
     pub files: Vec<RsFile>,
     /// Every `Cargo.toml`.
     pub manifests: Vec<ManifestFile>,
@@ -155,7 +133,9 @@ pub struct Workspace {
 const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures", ".github", "data"];
 
 /// Loads the workspace rooted at `root`: walks the tree, lexes every
-/// `.rs` file, and collects manifests plus `BENCH_dp.json`.
+/// `.rs` file, and collects manifests plus the root's `BENCH_dp.json`. A
+/// subdirectory whose `Cargo.toml` declares its own `[workspace]` is a
+/// separate cargo workspace and is not descended into.
 pub fn load_workspace(root: &Path) -> Result<Workspace, String> {
     let mut files = Vec::new();
     let mut manifests = Vec::new();
@@ -179,7 +159,10 @@ fn walk(
         let path = entry.path();
         let name = entry.file_name().to_string_lossy().into_owned();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_str()) || name.starts_with('.') {
+            if SKIP_DIRS.contains(&name.as_str())
+                || name.starts_with('.')
+                || is_workspace_root(&path)
+            {
                 continue;
             }
             walk(root, &path, files, manifests, bench_json)?;
@@ -192,12 +175,22 @@ fn walk(
         } else if name == "Cargo.toml" {
             let text = read(&path)?;
             manifests.push(ManifestFile { rel, text });
-        } else if name == "BENCH_dp.json" && bench_json.is_none() {
+        } else if name == "BENCH_dp.json" && dir == root {
             let text = read(&path)?;
             *bench_json = Some((rel, text));
         }
     }
     Ok(())
+}
+
+/// True when `dir/Cargo.toml` declares a `[workspace]` table.
+fn is_workspace_root(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| {
+        text.lines().any(|l| {
+            let l = l.trim();
+            l == "[workspace]" || l.starts_with("[workspace.")
+        })
+    })
 }
 
 fn read(path: &Path) -> Result<String, String> {
@@ -216,8 +209,6 @@ fn rel_path(root: &Path, path: &Path) -> String {
 /// `(file, line, col, rule)`.
 pub fn analyze(ws: &Workspace) -> Vec<Finding> {
     let mut raw = Vec::new();
-    rules::no_panic_in_lib(ws, &mut raw);
-    rules::pool_only_concurrency(ws, &mut raw);
     rules::cancel_coverage(ws, &mut raw);
     rules::deadline_coverage(ws, &mut raw);
     rules::failpoint_registry(ws, &mut raw);

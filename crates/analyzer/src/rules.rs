@@ -8,12 +8,8 @@
 use crate::json::{self, Value};
 use crate::lexer::{TokKind, Token};
 use crate::scope::FnInfo;
-use crate::{FileRole, Finding, RsFile, Workspace};
+use crate::{Finding, RsFile, Workspace};
 
-/// Rule id: panics forbidden in library code.
-pub const NO_PANIC_IN_LIB: &str = "no-panic-in-lib";
-/// Rule id: raw threads forbidden outside `pta-pool`.
-pub const POOL_ONLY_CONCURRENCY: &str = "pool-only-concurrency";
 /// Rule id: row/merge loops in `dp/`/`greedy/` must poll cancellation.
 pub const CANCEL_COVERAGE: &str = "cancel-coverage";
 /// Rule id: request-handler fns in the serve tier must reference the
@@ -36,8 +32,6 @@ pub const WAIVER_SYNTAX: &str = "waiver-syntax";
 
 /// `(id, summary)` for every rule, for `--list-rules` and the README.
 pub const ALL_RULES: &[(&str, &str)] = &[
-    (NO_PANIC_IN_LIB, "unwrap/expect/panic!/unreachable!/todo!/unimplemented! outside tests, bins, benches, and examples"),
-    (POOL_ONLY_CONCURRENCY, "std::thread::{spawn,scope} outside pta-pool (bypasses in_worker + catch_unwind)"),
     (CANCEL_COVERAGE, "row/merge loops in core dp//greedy/ that never reference the CancelToken"),
     (DEADLINE_COVERAGE, "request-handler fns in crates/serve that never reference the deadline/budget/cancel machinery"),
     (FAILPOINT_REGISTRY, "fail_point! sites must appear exactly once in FAILPOINT_SITES and in tests/fault_injection.rs"),
@@ -57,96 +51,6 @@ fn push(
     message: String,
 ) {
     out.push(Finding { file: file.rel.clone(), line, col, rule, message });
-}
-
-/// **no-panic-in-lib** — the service tier's headline promise is typed
-/// errors end to end; a stray `.unwrap()` in a library path turns a bad
-/// input into an abort. Bins, benches, examples, and test code may panic.
-pub fn no_panic_in_lib(ws: &Workspace, out: &mut Vec<Finding>) {
-    const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-    const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
-    for file in &ws.files {
-        if file.role != FileRole::Lib {
-            continue;
-        }
-        for (i, t) in file.tokens.iter().enumerate() {
-            if t.kind != TokKind::Ident || file.in_test(i) {
-                continue;
-            }
-            let name = t.text.as_str();
-            let prev = prev_code(&file.tokens, i);
-            let next = next_code(&file.tokens, i);
-            let is_macro = PANIC_MACROS.contains(&name)
-                && next.is_some_and(|n| n.kind == TokKind::Punct && n.text == "!");
-            let is_method = PANIC_METHODS.contains(&name)
-                && prev.is_some_and(|p| p.kind == TokKind::Punct && p.text == ".");
-            if is_macro {
-                push(
-                    out,
-                    file,
-                    t.line,
-                    t.col,
-                    NO_PANIC_IN_LIB,
-                    format!(
-                        "`{name}!` in library code — return a typed error instead, or waive with \
-                     `// pta-lint: allow({NO_PANIC_IN_LIB}) — <why>`"
-                    ),
-                );
-            } else if is_method {
-                push(
-                    out,
-                    file,
-                    t.line,
-                    t.col,
-                    NO_PANIC_IN_LIB,
-                    format!(
-                    "`.{name}()` in library code — convert to a typed error (`ok_or_else`, `?`) \
-                     or waive with `// pta-lint: allow({NO_PANIC_IN_LIB}) — <why>`"
-                ),
-                );
-            }
-        }
-    }
-}
-
-/// **pool-only-concurrency** — every thread in the workspace must be a
-/// `pta_pool::Pool` worker: raw `std::thread::spawn`/`scope` skips the
-/// `in_worker` nesting guard (oversubscription) and the per-job
-/// `catch_unwind` (one panic takes down siblings). Integration tests may
-/// spawn (they drive the public API from outside), the pool itself must.
-pub fn pool_only_concurrency(ws: &Workspace, out: &mut Vec<Finding>) {
-    for file in &ws.files {
-        if file.rel.starts_with("crates/shims/pool/") {
-            continue;
-        }
-        if file.role == FileRole::TestLike && file.rel.split('/').rev().nth(1) == Some("tests") {
-            continue;
-        }
-        for (i, t) in file.tokens.iter().enumerate() {
-            if t.kind != TokKind::Ident || t.text != "thread" || file.in_test(i) {
-                continue;
-            }
-            let Some((sep_i, sep)) = next_code_idx(&file.tokens, i) else { continue };
-            if !(sep.kind == TokKind::Punct && sep.text == "::") {
-                continue;
-            }
-            let Some((_, target)) = next_code_idx(&file.tokens, sep_i) else { continue };
-            if target.kind == TokKind::Ident && (target.text == "spawn" || target.text == "scope") {
-                push(
-                    out,
-                    file,
-                    t.line,
-                    t.col,
-                    POOL_ONLY_CONCURRENCY,
-                    format!(
-                        "`thread::{}` outside pta-pool bypasses the in_worker guard and \
-                     catch_unwind isolation — use `pta_pool::Pool::map`/`try_map`",
-                        target.text
-                    ),
-                );
-            }
-        }
-    }
 }
 
 /// **cancel-coverage** — `PtaQuery::deadline` only works if every long
@@ -218,7 +122,7 @@ pub fn deadline_coverage(ws: &Workspace, out: &mut Vec<Finding>) {
     const HANDLER: &[&str] = &["handle", "handler", "handlers", "dispatch"];
     const EVIDENCE: &[&str] = &["cancel", "deadline", "budget"];
     for file in &ws.files {
-        if !file.rel.starts_with("crates/serve/src/") || file.role != FileRole::Lib {
+        if !file.rel.starts_with("crates/serve/src/") {
             continue;
         }
         for f in &file.fns {
@@ -484,7 +388,7 @@ fn first_str_after(toks: &[Token], i: usize) -> Option<&str> {
 /// comparisons, tie-break parity — the inline waiver states why.
 pub fn float_eq(ws: &Workspace, out: &mut Vec<Finding>) {
     for file in &ws.files {
-        if !file.rel.starts_with("crates/core/src/") || file.role != FileRole::Lib {
+        if !file.rel.starts_with("crates/core/src/") {
             continue;
         }
         for (i, t) in file.tokens.iter().enumerate() {
@@ -721,16 +625,7 @@ pub fn bench_schema(ws: &Workspace, out: &mut Vec<Finding>) {
     }
 }
 
-/// The next non-comment token strictly after index `i`.
-fn next_code(toks: &[Token], i: usize) -> Option<&Token> {
-    next_code_idx(toks, i).map(|(_, t)| t)
-}
-
+/// The next non-comment token strictly after index `i`, with its index.
 fn next_code_idx(toks: &[Token], i: usize) -> Option<(usize, &Token)> {
     toks[i + 1..].iter().enumerate().find(|(_, t)| !t.is_comment()).map(|(k, t)| (i + 1 + k, t))
-}
-
-/// The previous non-comment token strictly before index `i`.
-fn prev_code(toks: &[Token], i: usize) -> Option<&Token> {
-    toks[..i].iter().rev().find(|t| !t.is_comment())
 }

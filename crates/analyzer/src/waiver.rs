@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn missing_reason_is_rejected() {
-        let toks = lex("// pta-lint: allow(no-panic-in-lib)\nfn f() {}\n");
+        let toks = lex("// pta-lint: allow(float-eq)\nfn f() {}\n");
         let (ws, bad) = waivers(&toks);
         assert!(ws.is_empty());
         assert_eq!(bad.len(), 1);

@@ -1,17 +1,5 @@
 //! Seeded violations for the analyzer corpus test.
 
-pub fn bad_unwrap(v: Option<u32>) -> u32 {
-    v.unwrap()
-}
-
-pub fn bad_panic() {
-    panic!("seeded")
-}
-
-pub fn bad_spawn() {
-    std::thread::spawn(|| {});
-}
-
 pub fn bad_float_eq(x: f64) -> bool {
     x == 0.0
 }
@@ -20,7 +8,7 @@ pub fn waived_float_eq(x: f64) -> bool {
     x == 0.0 // pta-lint: allow(float-eq) — exact sentinel comparison
 }
 
-// pta-lint: allow(no-panic-in-lib) — nothing here actually panics
+// pta-lint: allow(float-eq) — nothing here actually compares floats
 pub fn innocent() {}
 
 // pta-lint: allow(bogus
@@ -35,7 +23,7 @@ pub fn fires(i: usize) {
 mod tests {
     #[test]
     fn exempt() {
-        let v: Option<u32> = Some(1);
-        assert_eq!(v.unwrap(), 1);
+        let x: f64 = 0.0;
+        assert!(x == 0.0);
     }
 }

@@ -153,17 +153,20 @@ pub fn optimal_error_pct_at_ratios(
     relation: &SequentialRelation,
     ratios: &[f64],
 ) -> Vec<(f64, f64)> {
-    let cmp = Comparator::new()
-        .method("exact")
-        // pta-lint: allow(no-panic-in-lib) — harness helper; "exact" is a
-        // built-in summarizer and is always registered.
-        .expect("exact is registered")
+    #[expect(
+        clippy::expect_used,
+        reason = "harness helper; \"exact\" is a built-in summarizer and is always registered"
+    )]
+    let comparator = Comparator::new().method("exact").expect("exact is registered");
+    #[expect(
+        clippy::expect_used,
+        reason = "harness helper; the weights are uniform so the dims check cannot fail"
+    )]
+    let cmp = comparator
         .reduction_ratios(ratios.iter().copied())
         .run_sequential(relation)
-        // pta-lint: allow(no-panic-in-lib) — harness helper; the weights
-        // are uniform so the dims check cannot fail.
         .expect("dims match");
-    // pta-lint: allow(no-panic-in-lib) — the method was selected above.
+    #[expect(clippy::expect_used, reason = "the method was selected above")]
     let exact = cmp.method("exact").expect("selected above");
     ratios.iter().enumerate().map(|(i, &r)| (r, cmp.error_pct(exact.sse_at(i)))).collect()
 }
@@ -173,8 +176,11 @@ pub fn optimal_error_pct_at_ratios(
 pub fn dp_cells(summary: &Summary) -> u64 {
     match &summary.stats {
         SummaryStats::Dp(stats) => stats.cells,
-        // pta-lint: allow(no-panic-in-lib) — harness-internal helper with a
-        // documented panic contract; never reached from library callers.
+        #[expect(
+            clippy::panic,
+            reason = "harness-internal helper with a documented panic contract; never reached \
+                      from library callers"
+        )]
         other => panic!("summary of {} carries no DP stats: {other:?}", summary.algorithm),
     }
 }

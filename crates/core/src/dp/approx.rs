@@ -211,6 +211,10 @@ impl WindowSolver<2> for Grid {
 /// delivered reduction and the pass itself) at each stride of the
 /// schedule for `pieces` rows until the reduction certifies against the
 /// pass's lower bracket. Buffers and counters carry across probes.
+#[expect(
+    clippy::unreachable,
+    reason = "the stride-1 probe is bit-identical to the exact scan and accepted unconditionally"
+)]
 pub(crate) fn probe(
     engine: &DpEngine,
     eps: f64,
@@ -229,8 +233,6 @@ pub(crate) fn probe(
             return Ok(DpOutcome { reduction, stats: engine.stats(tally, p.peak, p.mode, ratio) });
         }
     }
-    // pta-lint: allow(no-panic-in-lib) — the stride-1 probe is bit-identical
-    // to the exact scan and accepted unconditionally above.
     unreachable!("the exact stride-1 fallback probe is always accepted")
 }
 
@@ -240,6 +242,10 @@ pub(crate) fn probe(
 /// absolute noise floor (the exact tail of a curve reaches 0, where no
 /// ratio certifies), or infinite on both brackets (sizes below `cmin`).
 /// An uncertified probe refines the stride globally; stride 1 is exact.
+#[expect(
+    clippy::unreachable,
+    reason = "the stride-1 probe is bit-identical to the exact scan and accepted unconditionally"
+)]
 pub(crate) fn curve(engine: &DpEngine, kmax: usize, eps: f64) -> Result<Vec<f64>, CoreError> {
     let mut buf = SweepBuf::new(engine.n + 1);
     let mut tally = Tally::default();
@@ -254,8 +260,6 @@ pub(crate) fn curve(engine: &DpEngine, kmax: usize, eps: f64) -> Result<Vec<f64>
             return Ok(ub);
         }
     }
-    // pta-lint: allow(no-panic-in-lib) — the stride-1 probe is bit-identical
-    // to the exact scan and accepted unconditionally above.
     unreachable!("the exact stride-1 fallback probe is always accepted")
 }
 

@@ -1548,9 +1548,9 @@ pub mod bench_support {
         pub fn row(&self, k: usize) -> Vec<f64> {
             let mut rows = RowPair::<1>::new(self.width());
             for kk in 1..=k {
+                #[expect(clippy::expect_used, reason = "harness token is inert")]
                 self.engine
                     .fill_row::<false, 1, Exact>(&Exact, kk, 0..self.engine.n, &mut rows, None)
-                    // pta-lint: allow(no-panic-in-lib) — harness token is inert.
                     .expect("bench harness tokens never fire");
             }
             let [row] = rows.prev;
@@ -1559,10 +1559,10 @@ pub mod bench_support {
 
         /// Fills row `k` reading row `k − 1` from `prev`; returns the
         /// split-point evaluation count.
+        #[expect(clippy::expect_used, reason = "harness token is inert")]
         pub fn fill(&self, k: usize, prev: &[f64], cur: &mut [f64]) -> u64 {
             self.engine
                 .fill_into::<false, 1, Exact>(&Exact, k, 0..self.engine.n, [prev], [cur], None)
-                // pta-lint: allow(no-panic-in-lib) — harness token is inert.
                 .expect("bench harness tokens never fire")
                 .total()
         }

@@ -340,11 +340,13 @@ fn smawk<F: FnMut(usize, usize) -> f64>(ctx: &mut Ctx<'_, F>, rows: &[usize], co
     let mut t = 0usize;
     while t < rows.len() {
         let r = rows[t];
+        #[expect(
+            clippy::expect_used,
+            reason = "REDUCE never returns an empty column set for a non-empty row set"
+        )]
         let hi_col = if t + 1 < rows.len() {
             ctx.argmins[rows[t + 1] - ctx.row0]
         } else {
-            // pta-lint: allow(no-panic-in-lib) — REDUCE never returns an
-            // empty column set for a non-empty row set.
             *cols.last().expect("reduce keeps at least one column")
         };
         let mut best = f64::INFINITY;

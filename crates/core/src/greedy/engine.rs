@@ -163,8 +163,10 @@ impl GreedyEngine {
     /// into the total error and re-keying the neighbours. Returns the
     /// merged-away key. The caller must have checked the key is finite.
     pub(crate) fn merge_top(&mut self) -> f64 {
-        // pta-lint: allow(no-panic-in-lib) — documented precondition:
-        // every caller peeks the heap before calling merge_top.
+        #[expect(
+            clippy::expect_used,
+            reason = "documented precondition: every caller peeks the heap before calling merge_top"
+        )]
         let (slot, key, _) = self.heap.peek().expect("merge_top on empty heap");
         debug_assert!(key.is_finite(), "cannot merge across a gap");
         self.heap.remove(slot);

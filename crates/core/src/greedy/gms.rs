@@ -55,8 +55,10 @@ pub fn gms_size_bounded_with_cancel(
     let mut engine = load(input, weights, policy, cancel)?;
     while engine.live() > c {
         engine.cancel.check()?;
-        // pta-lint: allow(no-panic-in-lib) — `live() > c >= cmin` guarantees
-        // a mergeable (finite-key) heap entry exists.
+        #[expect(
+            clippy::expect_used,
+            reason = "`live() > c >= cmin` guarantees a mergeable (finite-key) heap entry exists"
+        )]
         let (_, key, _) = engine.heap.peek().expect("live > c >= cmin implies a finite key");
         debug_assert!(key.is_finite());
         engine.merge_top();

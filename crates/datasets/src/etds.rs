@@ -62,6 +62,7 @@ const TITLES: [&str; 7] = [
 /// `(EmpNo: Int, Sex: Str, Dept: Str, Title: Str, Salary: Int, T)`.
 pub fn generate(params: EtdsParams) -> TemporalRelation {
     let mut rng = StdRng::seed_from_u64(params.seed);
+    #[expect(clippy::expect_used, reason = "static schema literal; cannot fail")]
     let schema = Schema::of(&[
         ("EmpNo", DataType::Int),
         ("Sex", DataType::Str),
@@ -69,7 +70,6 @@ pub fn generate(params: EtdsParams) -> TemporalRelation {
         ("Title", DataType::Str),
         ("Salary", DataType::Int),
     ])
-    // pta-lint: allow(no-panic-in-lib) — static schema literal; cannot fail.
     .expect("static schema is valid");
     let mut rel = TemporalRelation::new(schema);
 
@@ -88,6 +88,9 @@ pub fn generate(params: EtdsParams) -> TemporalRelation {
             }
             let duration = rng.random_range(6i64..=48).min(params.months - month);
             let end = month + duration - 1;
+            #[expect(clippy::expect_used, reason = "duration >= 1 keeps month <= end")]
+            let iv = TimeInterval::new(month, end).expect("duration >= 1");
+            #[expect(clippy::expect_used, reason = "row is built from the static schema above")]
             rel.push(
                 vec![
                     Value::Int(emp as i64),
@@ -96,10 +99,8 @@ pub fn generate(params: EtdsParams) -> TemporalRelation {
                     Value::str(TITLES[title_idx.min(TITLES.len() - 1)]),
                     Value::Int(salary),
                 ],
-                // pta-lint: allow(no-panic-in-lib) — duration >= 1 keeps month <= end.
-                TimeInterval::new(month, end).expect("duration >= 1"),
+                iv,
             )
-            // pta-lint: allow(no-panic-in-lib) — row is built from the static schema above.
             .expect("generated row matches schema");
             // Renewal: usually seamless, occasionally after a break or
             // with a department switch / promotion / raise.

@@ -74,9 +74,9 @@ impl IncumbentsParams {
 /// `(Dept: Str, Proj: Str, Salary: Int, T)`.
 pub fn generate(params: IncumbentsParams) -> TemporalRelation {
     let mut rng = StdRng::seed_from_u64(params.seed);
+    #[expect(clippy::expect_used, reason = "static schema literal; cannot fail")]
     let schema =
         Schema::of(&[("Dept", DataType::Str), ("Proj", DataType::Str), ("Salary", DataType::Int)])
-            // pta-lint: allow(no-panic-in-lib) — static schema literal; cannot fail.
             .expect("static schema is valid");
     let mut rel = TemporalRelation::new(schema);
 
@@ -100,16 +100,17 @@ pub fn generate(params: IncumbentsParams) -> TemporalRelation {
                         break;
                     }
                     let dur = rng.random_range(3i64..=24).min(period_end - month);
+                    #[expect(clippy::expect_used, reason = "dur >= 1 keeps the interval valid")]
+                    let iv = TimeInterval::new(month, month + dur - 1).expect("dur >= 1");
+                    #[expect(clippy::expect_used, reason = "row matches the static schema above")]
                     rel.push(
                         vec![
                             Value::str(dept.as_str()),
                             Value::str(proj.as_str()),
                             Value::Int(salary),
                         ],
-                        // pta-lint: allow(no-panic-in-lib) — dur >= 1 keeps the interval valid.
-                        TimeInterval::new(month, month + dur - 1).expect("dur >= 1"),
+                        iv,
                     )
-                    // pta-lint: allow(no-panic-in-lib) — row matches the static schema above.
                     .expect("generated row matches schema");
                     month += dur;
                     salary += rng.random_range(-300i64..600);

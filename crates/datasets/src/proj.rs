@@ -15,10 +15,11 @@ pub const PROJ_ITA_VALUES: [(&str, f64, i64, i64); 7] = [
 
 /// Builds the `proj` relation: five project assignments with employee,
 /// project, monthly salary and validity period.
+#[expect(clippy::expect_used, reason = "static rows written against the schema below")]
 pub fn proj_relation() -> TemporalRelation {
+    #[expect(clippy::expect_used, reason = "static schema literal; cannot fail")]
     let schema =
         Schema::of(&[("Empl", DataType::Str), ("Proj", DataType::Str), ("Sal", DataType::Int)])
-            // pta-lint: allow(no-panic-in-lib) — static schema literal; cannot fail.
             .expect("static schema is valid");
     let rows = [
         ("John", "A", 800, 1, 4),
@@ -30,14 +31,11 @@ pub fn proj_relation() -> TemporalRelation {
     TemporalRelation::from_rows(
         schema,
         rows.iter().map(|(e, p, s, a, b)| {
-            (
-                vec![Value::str(*e), Value::str(*p), Value::Int(*s)],
-                // pta-lint: allow(no-panic-in-lib) — static interval literals are valid.
-                TimeInterval::new(*a, *b).expect("static intervals are valid"),
-            )
+            #[expect(clippy::expect_used, reason = "static interval literals are valid")]
+            let iv = TimeInterval::new(*a, *b).expect("static intervals are valid");
+            (vec![Value::str(*e), Value::str(*p), Value::Int(*s)], iv)
         }),
     )
-    // pta-lint: allow(no-panic-in-lib) — static rows written against the schema above.
     .expect("static rows match the schema")
 }
 

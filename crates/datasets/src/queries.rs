@@ -41,7 +41,7 @@ impl Scale {
 /// The Table-1 queries (the uniform S1/S2 workloads are parameterised per
 /// experiment and live in [`crate::uniform`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "the variants are the Table-1 query ids documented above")]
 pub enum QueryId {
     E1,
     E2,
@@ -150,6 +150,7 @@ fn incumbents_params(scale: Scale) -> IncumbentsParams {
 /// Prepares one query at the given scale (deterministic).
 pub fn prepare(id: QueryId, scale: Scale) -> PreparedQuery {
     let relation = match id {
+        #[expect(clippy::expect_used, reason = "spec names columns of the generated schema")]
         QueryId::E1 | QueryId::E2 | QueryId::E3 => {
             let rel = etds::generate(etds_params(scale));
             let agg = match id {
@@ -157,15 +158,15 @@ pub fn prepare(id: QueryId, scale: Scale) -> PreparedQuery {
                 QueryId::E2 => AggregateSpec::max("Salary"),
                 _ => AggregateSpec::sum("Salary"),
             };
-            // pta-lint: allow(no-panic-in-lib) — spec names columns of the generated schema.
             ita(&rel, &ItaQuerySpec::new(&[], vec![agg])).expect("generated query is valid")
         }
+        #[expect(clippy::expect_used, reason = "spec names columns of the generated schema")]
         QueryId::E4 => {
             let rel = etds::generate(etds_params(scale));
             ita(&rel, &ItaQuerySpec::new(&["EmpNo", "Dept"], vec![AggregateSpec::avg("Salary")]))
-                // pta-lint: allow(no-panic-in-lib) — spec names columns of the generated schema.
                 .expect("generated query is valid")
         }
+        #[expect(clippy::expect_used, reason = "spec names columns of the generated schema")]
         QueryId::I1 | QueryId::I2 | QueryId::I3 => {
             let rel = incumbents::generate(incumbents_params(scale));
             let agg = match id {
@@ -174,7 +175,6 @@ pub fn prepare(id: QueryId, scale: Scale) -> PreparedQuery {
                 _ => AggregateSpec::sum("Salary"),
             };
             ita(&rel, &ItaQuerySpec::new(&["Dept", "Proj"], vec![agg]))
-                // pta-lint: allow(no-panic-in-lib) — spec names columns of the generated schema.
                 .expect("generated query is valid")
         }
         QueryId::T1 => {

@@ -16,6 +16,7 @@ use rand::{Rng, SeedableRng};
 /// (A logistic map would be white-noise-like and incompressible; the UCR
 /// series is smooth enough that PTA reduces it 95 % under 10 % error,
 /// Fig. 14(a).)
+#[expect(clippy::expect_used, reason = "width 1, origin 0: always a valid series")]
 pub fn chaotic(n: usize, seed: u64) -> SequentialRelation {
     let mut rng = StdRng::seed_from_u64(seed);
     const TAU: usize = 17;
@@ -42,12 +43,12 @@ pub fn chaotic(n: usize, seed: u64) -> SequentialRelation {
         }
         values.push(60.0 * history[t]);
     }
-    // pta-lint: allow(no-panic-in-lib) — width 1, origin 0: always a valid series.
     SequentialRelation::from_time_series(1, 0, &values).expect("generated series is valid")
 }
 
 /// A tidal series: four harmonic constituents (M2, S2, K1, O1 period
 /// ratios) plus small noise — the T2 stand-in, friendly to DFT/Chebyshev.
+#[expect(clippy::expect_used, reason = "width 1, origin 0: always a valid series")]
 pub fn tide(n: usize, seed: u64) -> SequentialRelation {
     let mut rng = StdRng::seed_from_u64(seed);
     let phases: Vec<f64> = (0..4).map(|_| rng.random_range(0.0..std::f64::consts::TAU)).collect();
@@ -62,7 +63,6 @@ pub fn tide(n: usize, seed: u64) -> SequentialRelation {
         v += rng.random_range(-0.5..0.5);
         values.push(v);
     }
-    // pta-lint: allow(no-panic-in-lib) — width 1, origin 0: always a valid series.
     SequentialRelation::from_time_series(1, 0, &values).expect("generated series is valid")
 }
 
@@ -99,10 +99,10 @@ pub fn wind(n: usize, dims: usize, runs: usize, seed: u64) -> SequentialRelation
             hole_iter.next();
             t_out += 1; // leave a one-chronon hole before this sample
         }
-        // pta-lint: allow(no-panic-in-lib) — instants are valid; t_out is monotone.
-        b.push(GroupKey::empty(), TimeInterval::instant(t_out).expect("valid instant"), &row)
-            // pta-lint: allow(no-panic-in-lib) — t_out strictly increases, so order holds.
-            .expect("rows arrive in order");
+        #[expect(clippy::expect_used, reason = "instants are valid; t_out is monotone")]
+        let iv = TimeInterval::instant(t_out).expect("valid instant");
+        #[expect(clippy::expect_used, reason = "t_out strictly increases, so order holds")]
+        b.push(GroupKey::empty(), iv, &row).expect("rows arrive in order");
         t_out += 1;
     }
     b.finish();

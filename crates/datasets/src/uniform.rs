@@ -23,10 +23,10 @@ pub fn ungrouped(n: usize, p: usize, seed: u64) -> SequentialRelation {
         for v in &mut row {
             *v = rng.random::<f64>();
         }
-        // pta-lint: allow(no-panic-in-lib) — instants are valid for every t.
-        b.push(GroupKey::empty(), TimeInterval::instant(t as i64).expect("valid"), &row)
-            // pta-lint: allow(no-panic-in-lib) — t strictly increases, so order holds.
-            .expect("rows arrive in order");
+        #[expect(clippy::expect_used, reason = "instants are valid for every t")]
+        let iv = TimeInterval::instant(t as i64).expect("valid");
+        #[expect(clippy::expect_used, reason = "t strictly increases, so order holds")]
+        b.push(GroupKey::empty(), iv, &row).expect("rows arrive in order");
     }
     b.finish();
     b.build()
@@ -47,10 +47,10 @@ pub fn trend(n: usize, p: usize, seed: u64) -> SequentialRelation {
         for v in &mut row {
             *v += rng.random::<f64>();
         }
-        // pta-lint: allow(no-panic-in-lib) — instants are valid for every t.
-        b.push(GroupKey::empty(), TimeInterval::instant(t as i64).expect("valid"), &row)
-            // pta-lint: allow(no-panic-in-lib) — t strictly increases, so order holds.
-            .expect("rows arrive in order");
+        #[expect(clippy::expect_used, reason = "instants are valid for every t")]
+        let iv = TimeInterval::instant(t as i64).expect("valid");
+        #[expect(clippy::expect_used, reason = "t strictly increases, so order holds")]
+        b.push(GroupKey::empty(), iv, &row).expect("rows arrive in order");
     }
     b.finish();
     b.build()
@@ -69,10 +69,10 @@ pub fn grouped(groups: usize, per_group: usize, p: usize, seed: u64) -> Sequenti
             for v in &mut row {
                 *v = rng.random::<f64>();
             }
-            // pta-lint: allow(no-panic-in-lib) — instants are valid for every t.
-            b.push(key.clone(), TimeInterval::instant(t as i64).expect("valid"), &row)
-                // pta-lint: allow(no-panic-in-lib) — t strictly increases per group.
-                .expect("rows arrive in order");
+            #[expect(clippy::expect_used, reason = "instants are valid for every t")]
+            let iv = TimeInterval::instant(t as i64).expect("valid");
+            #[expect(clippy::expect_used, reason = "t strictly increases per group")]
+            b.push(key.clone(), iv, &row).expect("rows arrive in order");
         }
     }
     b.finish();

@@ -127,12 +127,12 @@ pub fn sta(
                 }
             }
             if any {
-                let values: Vec<f64> = accs
-                    .iter()
-                    // pta-lint: allow(no-panic-in-lib) — `any` is only set
-                    // after inserting into every accumulator in the group.
-                    .map(|a| a.value().expect("non-empty span group"))
-                    .collect();
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`any` is only set after inserting into every accumulator in the group"
+                )]
+                let values: Vec<f64> =
+                    accs.iter().map(|a| a.value().expect("non-empty span group")).collect();
                 builder.push(key.clone(), *span, &values)?;
             }
         }

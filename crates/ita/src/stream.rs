@@ -87,13 +87,15 @@ impl GroupSweep {
             let t = self.events[self.pos].t;
             let mut flushed = None;
             if self.live > 0 && self.prev_t < t {
-                // pta-lint: allow(no-panic-in-lib) — `prev_t < t` makes the run non-empty.
+                #[expect(clippy::expect_used, reason = "`prev_t < t` makes the run non-empty")]
                 let interval = TimeInterval::new(self.prev_t, t - 1).expect("prev_t < t");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`live > 0` means every accumulator saw at least one insert"
+                )]
                 let values: Vec<f64> = self
                     .accumulators
                     .iter()
-                    // pta-lint: allow(no-panic-in-lib) — `live > 0` means
-                    // every accumulator saw at least one insert.
                     .map(|a| a.value().expect("live > 0 implies a defined aggregate"))
                     .collect();
                 flushed = self.coalesce_emit(interval, values);

@@ -131,6 +131,10 @@ mod tests {
     fn close_wakes_blocked_poppers() {
         let q = std::sync::Arc::new(BoundedQueue::<u32>::new(1));
         let q2 = q.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the popper must block on a thread of its own while the test closes the queue"
+        )]
         let h = std::thread::spawn(move || q2.pop());
         std::thread::sleep(Duration::from_millis(20));
         q.close();

@@ -193,8 +193,11 @@ fn claim(name: &str) -> Option<Action> {
 pub fn eval(name: &str) {
     match claim(name) {
         None | Some(Action::Off) | Some(Action::Return(_)) => {}
-        // pta-lint: allow(no-panic-in-lib) — panicking *is* the configured
-        // fault: the injected action exists to test panic isolation.
+        #[expect(
+            clippy::panic,
+            reason = "panicking *is* the configured fault: the injected action exists to test \
+                      panic isolation"
+        )]
         Some(Action::Panic(msg)) => panic!("{msg}"),
         Some(Action::Delay(ms)) => std::thread::sleep(std::time::Duration::from_millis(ms)),
         Some(Action::Callback(f)) => f(),
@@ -207,8 +210,11 @@ pub fn eval(name: &str) {
 pub fn eval_return(name: &str) -> Option<String> {
     match claim(name) {
         None | Some(Action::Off) => None,
-        // pta-lint: allow(no-panic-in-lib) — panicking *is* the configured
-        // fault: the injected action exists to test panic isolation.
+        #[expect(
+            clippy::panic,
+            reason = "panicking *is* the configured fault: the injected action exists to test \
+                      panic isolation"
+        )]
         Some(Action::Panic(msg)) => panic!("{msg}"),
         Some(Action::Delay(ms)) => {
             std::thread::sleep(std::time::Duration::from_millis(ms));

@@ -152,6 +152,7 @@ impl Pool {
     /// A [`std::thread::scope`] escape hatch for callers that need raw
     /// scoped spawning; prefer [`Pool::map`], which adds scheduling,
     /// ordering, and the nesting guard.
+    #[expect(clippy::disallowed_methods, reason = "the pool is where raw threads live")]
     pub fn scope<'env, F, T>(&self, f: F) -> T
     where
         F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>) -> T,
@@ -242,6 +243,10 @@ impl Pool {
         let slots: Vec<Mutex<Option<Result<R, Payload>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the pool's own workers: the nesting guard and catch_unwind wrap them here"
+        )]
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| {

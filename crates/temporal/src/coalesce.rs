@@ -42,8 +42,11 @@ pub fn coalesce(relation: &TemporalRelation) -> TemporalRelation {
             }
         }
         for iv in merged {
-            // pta-lint: allow(no-panic-in-lib) — key and values come from this
-            // relation's own tuples, so the schema re-check cannot fail.
+            #[expect(
+                clippy::expect_used,
+                reason = "key and values come from this relation's own tuples, so the schema \
+                          re-check cannot fail"
+            )]
             out.push(key.clone(), iv).expect("coalesced tuple matches schema");
         }
     }

@@ -264,29 +264,16 @@ const PAR_MIN_BYTES: usize = 1 << 16;
 /// blocks, string-heavy rows).
 const PAR_CHUNKS_PER_WORKER: usize = 4;
 
-/// [`read_relation`] with the parse fanned out across a thread pool:
-/// the whole input is read up front, split into newline-aligned chunks,
-/// parsed chunk-wise on the default pool (`PTA_THREADS`), and the rows
-/// spliced back in file order. The result is row-identical to the
-/// sequential reader — including *which* error a malformed file reports:
-/// chunk results are drained in file order and each chunk stops at its
-/// first bad row, so the first bad row in the file wins, exactly as if
-/// the file had been parsed front to back.
-pub fn read_relation_parallel(
-    schema: Schema,
-    mut reader: impl BufRead,
-) -> Result<TemporalRelation, TemporalError> {
-    let mut text = String::new();
-    reader.read_to_string(&mut text).map_err(|e| TemporalError::NonSequential {
-        index: 0,
-        reason: format!("I/O error: {e}"),
-    })?;
-    read_relation_str(schema, &text, 0)
-}
-
-/// [`read_relation_parallel`] over an in-memory string with an explicit
-/// thread budget (`0` = the process default). Single-thread budgets and
-/// small inputs take the sequential path unchanged.
+/// [`read_relation`] over an in-memory string with the parse fanned out
+/// across a pool of `threads` workers (`0` = the process default,
+/// `PTA_THREADS`): the text is split into newline-aligned chunks, parsed
+/// chunk-wise, and the rows spliced back in file order. The result is
+/// row-identical to the sequential reader — including *which* error a
+/// malformed file reports: chunk results are drained in file order and
+/// each chunk stops at its first bad row, so the first bad row in the
+/// file wins, exactly as if the file had been parsed front to back.
+/// Single-thread budgets and small inputs take the sequential path
+/// unchanged.
 pub fn read_relation_str(
     schema: Schema,
     text: &str,
@@ -671,7 +658,6 @@ mod tests {
         let schema = parse_schema("Empl:str,Dept:str,Sal:int").unwrap();
         let text = corpus(150, true);
         let seq = read_relation(schema.clone(), text.as_bytes()).unwrap();
-        assert_eq!(read_relation_parallel(schema.clone(), text.as_bytes()).unwrap(), seq);
         for threads in [0, 1, 2, 4] {
             assert_eq!(read_relation_str(schema.clone(), &text, threads).unwrap(), seq);
         }

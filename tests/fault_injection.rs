@@ -31,6 +31,10 @@
 //! to nothing, keeping tier-1 runs injection-free.
 
 #![cfg(feature = "failpoints")]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "integration tests drive the server from outside the pool"
+)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};

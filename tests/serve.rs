@@ -6,6 +6,11 @@
 //! is exact). Fault-injected scenarios live in `tests/fault_injection.rs`
 //! behind the `failpoints` feature; this file runs in tier-1.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "integration tests drive the server from outside the pool"
+)]
+
 use std::time::Duration;
 
 use pta::{Agg, ItaQuerySpec, RowPolicy};
